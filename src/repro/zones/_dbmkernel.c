@@ -8,8 +8,10 @@
  * `_frozen` bookkeeping; this module only mutates the raw int64
  * matrix, which it reaches through the buffer protocol so the wrapper
  * can keep using a plain numpy array (and everything downstream —
- * passed-list buckets, the intern table, `np.stack` in the sharded
- * explorer — keeps working unchanged).
+ * the intern table, the monitor's `np.stack` batches — keeps working
+ * unchanged).  It also holds the passed-list subsumption scans
+ * (`store_covers` / `store_insert`) that `NumpyPassedBucket` in
+ * repro/zones/store.py runs over its `(capacity, n*n)` row stack.
  *
  * Encoding contract (repro/zones/bounds.py): a bound is
  * `(value << 1) | weak`, INF is `1 << 62`, `bound_add` adds values,
@@ -37,6 +39,11 @@ static const int64_t K_INF = ((int64_t)1) << 62;
  * malloc.  The Python wrapper re-raises this as a clean ValueError. */
 #define MAX_CLOCKS 64
 #define MAX_OPS 256
+
+/* Bumped whenever the Python-facing API grows; repro/zones/dbm_native.py
+ * refuses (ImportError) an in-place build older than it expects.
+ * 2: store_covers / store_insert. */
+#define KERNEL_VERSION 2
 
 static inline int64_t
 badd(int64_t a, int64_t b)
@@ -266,17 +273,82 @@ k_extra_lu(int64_t *m, int n, const int64_t *low, const int64_t *up)
 /* Buffer/argument helpers                                             */
 /* ------------------------------------------------------------------ */
 
+#define RW_FLAGS (PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE)
+#define RO_FLAGS PyBUF_C_CONTIGUOUS
+
+/* True for a struct-module format naming a native 8-byte signed
+ * integer ("l"/"q", optionally with a native byte-order prefix). */
+static int
+is_int64_format(const char *fmt)
+{
+    if (fmt == NULL)
+        return 0;
+#if PY_LITTLE_ENDIAN
+    if (*fmt == '@' || *fmt == '=' || *fmt == '<')
+#else
+    if (*fmt == '@' || *fmt == '=' || *fmt == '>' || *fmt == '!')
+#endif
+        fmt++;
+    return (fmt[0] == 'l' || fmt[0] == 'q') && fmt[1] == '\0';
+}
+
+/* Acquire a C-contiguous int64 buffer; a non-contiguous or wrongly
+ * typed object raises ValueError. */
+static int
+int64_acquire(PyObject *obj, Py_buffer *view, int flags)
+{
+    if (PyObject_GetBuffer(obj, view, flags | PyBUF_FORMAT) < 0) {
+        if (PyErr_ExceptionMatches(PyExc_BufferError))
+            PyErr_SetString(PyExc_ValueError,
+                            "expected a C-contiguous int64 buffer");
+        return -1;
+    }
+    if (view->itemsize != (Py_ssize_t)sizeof(int64_t)
+        || !is_int64_format(view->format)) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_ValueError,
+                        "buffer must hold int64 items");
+        return -1;
+    }
+    return 0;
+}
+
 static int
 mat_acquire(PyObject *obj, Py_buffer *view, int flags,
             Py_ssize_t expect_items, int64_t **out)
 {
-    if (PyObject_GetBuffer(obj, view, flags) < 0)
+    if (int64_acquire(obj, view, flags) < 0)
         return -1;
-    if (view->itemsize != (Py_ssize_t)sizeof(int64_t)
-        || view->len != expect_items * (Py_ssize_t)sizeof(int64_t)) {
+    if (view->len != expect_items * (Py_ssize_t)sizeof(int64_t)) {
         PyBuffer_Release(view);
         PyErr_SetString(PyExc_ValueError,
-                        "matrix buffer has unexpected itemsize/length");
+                        "matrix buffer has unexpected length");
+        return -1;
+    }
+    *out = (int64_t *)view->buf;
+    return 0;
+}
+
+/* Acquire a (rows, width) row stack holding at least `count` live rows
+ * (`count < rows` when `need_room`: one free row to append into). */
+static int
+stack_acquire(PyObject *obj, Py_buffer *view, Py_ssize_t width,
+              Py_ssize_t count, int need_room, int64_t **out)
+{
+    if (int64_acquire(obj, view, RW_FLAGS) < 0)
+        return -1;
+    if (view->ndim != 2 || view->shape[1] != width) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_ValueError,
+                        "row stack must be 2-D with n*n columns");
+        return -1;
+    }
+    Py_ssize_t rows = view->shape[0];
+    if (count < 0 || count > rows || (need_room && count == rows)) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_ValueError,
+                     "count %zd out of range for a %zd-row stack%s",
+                     count, rows, need_room ? " (no free row)" : "");
         return -1;
     }
     *out = (int64_t *)view->buf;
@@ -467,9 +539,6 @@ parse_clocks(PyObject *seq, int n, int *out, int *count)
 /* ------------------------------------------------------------------ */
 /* Python-facing scalar operations                                     */
 /* ------------------------------------------------------------------ */
-
-#define RW_FLAGS (PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE)
-#define RO_FLAGS PyBUF_C_CONTIGUOUS
 
 static PyObject *
 py_close(PyObject *self, PyObject *args)
@@ -863,6 +932,109 @@ py_run_plan(PyObject *self, PyObject *args)
 }
 
 /* ------------------------------------------------------------------ */
+/* Passed-list subsumption scans over a (capacity, n*n) row stack      */
+/* ------------------------------------------------------------------ */
+
+/* True when row `a` dominates row `b` elementwise (zone b within a). */
+static inline int
+row_dominates(const int64_t *a, const int64_t *b, Py_ssize_t width)
+{
+    for (Py_ssize_t k = 0; k < width; k++)
+        if (a[k] < b[k])
+            return 0;
+    return 1;
+}
+
+static PyObject *
+py_store_covers(PyObject *self, PyObject *args)
+{
+    PyObject *stack_obj, *row_obj;
+    Py_ssize_t count;
+    int n;
+    if (!PyArg_ParseTuple(args, "OnOi", &stack_obj, &count, &row_obj, &n)
+        || check_n(n) < 0)
+        return NULL;
+    Py_ssize_t width = (Py_ssize_t)n * n;
+    Py_buffer row_view, stack_view;
+    int64_t *row, *stack;
+    if (mat_acquire(row_obj, &row_view, RO_FLAGS, width, &row) < 0)
+        return NULL;
+    if (stack_acquire(stack_obj, &stack_view, width, count, 0,
+                      &stack) < 0) {
+        PyBuffer_Release(&row_view);
+        return NULL;
+    }
+    int covered = 0;
+    for (Py_ssize_t r = 0; r < count && !covered; r++)
+        covered = row_dominates(stack + r * width, row, width);
+    PyBuffer_Release(&stack_view);
+    PyBuffer_Release(&row_view);
+    return PyBool_FromLong(covered);
+}
+
+static PyObject *
+py_store_insert(PyObject *self, PyObject *args)
+{
+    PyObject *stack_obj, *row_obj;
+    Py_ssize_t count;
+    int n;
+    if (!PyArg_ParseTuple(args, "OnOi", &stack_obj, &count, &row_obj, &n)
+        || check_n(n) < 0)
+        return NULL;
+    Py_ssize_t width = (Py_ssize_t)n * n;
+    Py_buffer row_view, stack_view;
+    int64_t *row, *stack;
+    if (mat_acquire(row_obj, &row_view, RO_FLAGS, width, &row) < 0)
+        return NULL;
+    if (stack_acquire(stack_obj, &stack_view, width, count, 1,
+                      &stack) < 0) {
+        PyBuffer_Release(&row_view);
+        return NULL;
+    }
+    /* The candidate may alias a stack row; compaction must not
+     * clobber it before it is appended. */
+    int64_t cand[MAX_CLOCKS * MAX_CLOCKS];
+    memcpy(cand, row, (size_t)width * sizeof(int64_t));
+    PyBuffer_Release(&row_view);
+
+    /* Collect the evicted positions before moving anything, so an
+     * allocation failure leaves the stack untouched. */
+    PyObject *evicted = PyList_New(0);
+    if (evicted == NULL) {
+        PyBuffer_Release(&stack_view);
+        return NULL;
+    }
+    for (Py_ssize_t r = 0; r < count; r++) {
+        if (!row_dominates(cand, stack + r * width, width))
+            continue;
+        PyObject *pos = PyLong_FromSsize_t(r);
+        if (pos == NULL || PyList_Append(evicted, pos) < 0) {
+            Py_XDECREF(pos);
+            Py_DECREF(evicted);
+            PyBuffer_Release(&stack_view);
+            return NULL;
+        }
+        Py_DECREF(pos);
+    }
+    Py_ssize_t kept = count;
+    if (PyList_GET_SIZE(evicted)) {
+        kept = 0;
+        for (Py_ssize_t r = 0; r < count; r++) {
+            int64_t *stored = stack + r * width;
+            if (row_dominates(cand, stored, width))
+                continue;
+            if (kept != r)
+                memcpy(stack + kept * width, stored,
+                       (size_t)width * sizeof(int64_t));
+            kept++;
+        }
+    }
+    memcpy(stack + kept * width, cand, (size_t)width * sizeof(int64_t));
+    PyBuffer_Release(&stack_view);
+    return evicted;
+}
+
+/* ------------------------------------------------------------------ */
 
 static PyMethodDef kernel_methods[] = {
     {"close", py_close, METH_VARARGS,
@@ -895,6 +1067,13 @@ static PyMethodDef kernel_methods[] = {
     {"extrapolate_lu", py_extrapolate_lu, METH_VARARGS,
      "extrapolate_lu(m, n, lower, upper) -> int: Extra+_LU widening "
      "+ closure when changed; returns changed."},
+    {"store_covers", py_store_covers, METH_VARARGS,
+     "store_covers(stack, count, row, n) -> bool: some of the first "
+     "count stack rows dominates row elementwise (early exit)."},
+    {"store_insert", py_store_insert, METH_VARARGS,
+     "store_insert(stack, count, row, n) -> list: compact away the "
+     "rows that row dominates, append row, return the evicted "
+     "positions in ascending order (requires count < stack rows)."},
     {"run_plan", py_run_plan, METH_VARARGS,
      "run_plan(work, alive, B, n, guard_ops, has_error, zone_ops, "
      "free_clocks, invariant_ops, delay, ceilings, lu): full batched "
@@ -917,7 +1096,7 @@ PyInit__dbmkernel(void)
     if (mod == NULL)
         return NULL;
     if (PyModule_AddIntConstant(mod, "MAX_CLOCKS", MAX_CLOCKS) < 0
-        || PyModule_AddIntConstant(mod, "KERNEL_VERSION", 1) < 0) {
+        || PyModule_AddIntConstant(mod, "KERNEL_VERSION", KERNEL_VERSION) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

@@ -1,15 +1,14 @@
 """Batched successor pipeline: one plan applied to a stack of zones.
 
-The sharded explorer groups every wave of the breadth-first frontier
-by discrete-configuration key.  All states in a group share the same
-memoized successor plans, so instead of running the scalar pipeline
-(copy → guard constraints → resets → frees → invariants → delay →
-Extra_M) once per state, the group's zones are stacked into one
-``(B, n, n)`` int64 array and each plan is applied to the whole batch
-with broadcast kernels.  On the paper's case-study PSM the average
-group holds ~5 zones, so the per-call numpy dispatch overhead — the
-dominant cost of the scalar numpy backend on small matrices — is paid
-once per *group* instead of once per *state*.
+The batched monitor (:class:`repro.monitor.batch.BatchMonitor`) groups
+the frontier tasks of many trace sessions by memoized successor plan.
+Instead of running the scalar pipeline (copy → guard constraints →
+resets → frees → invariants → delay → Extra_M) once per zone, a
+group's zones are stacked into one ``(B, n, n)`` int64 array and the
+plan is applied to the whole batch with broadcast kernels, so the
+per-call numpy dispatch overhead — the dominant cost of the scalar
+numpy backend on small matrices — is paid once per *group* instead of
+once per *zone*.
 
 Bit-identity contract: for every batch element that survives all
 emptiness checks, the resulting matrix equals the scalar

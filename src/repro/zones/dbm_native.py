@@ -3,13 +3,13 @@
 :class:`NativeDBM` subclasses :class:`~repro.zones.dbm_numpy.NumpyDBM`
 and keeps the matrix as the same C-contiguous ``(n, n)`` int64 array —
 so the passed-list buckets (:mod:`repro.zones.store`), the intern
-table, ``np.stack`` in the sharded explorer and the batched commit
-phase all work unchanged — but every hot kernel (closure, constrain,
-resets, inclusion, extrapolation) is one call into the compiled
-``repro.zones._dbmkernel`` module instead of a cascade of numpy ufunc
-dispatches.  On the small matrices this framework produces (< 16
-clocks) per-call dispatch overhead dominates arithmetic, which is why
-the compiled scalar loops beat the vectorized kernels at every size.
+table and the monitor's ``np.stack`` batches all work unchanged — but
+every hot kernel (closure, constrain, resets, inclusion,
+extrapolation) is one call into the compiled ``repro.zones._dbmkernel``
+module instead of a cascade of numpy ufunc dispatches.  On the small
+matrices this framework produces (< 16 clocks) per-call dispatch
+overhead dominates arithmetic, which is why the compiled scalar loops
+beat the vectorized kernels at every size.
 
 Bit-identity: the C kernels replicate the reference backend's loops
 statement for statement (see ``_dbmkernel.c``); the differential
@@ -18,10 +18,12 @@ numpy and native through identical random op sequences and require
 equal snapshots, emptiness verdicts and hashes at every step.
 
 This module raises :class:`ImportError` when either numpy or the
-compiled extension is missing; :mod:`repro.zones.backend` catches that
-and simply leaves ``native`` out of :func:`available_backends`, so a
-checkout without a compiler (or a wheel without the prebuilt artifact)
-falls back to the pure-python/numpy backends gracefully.
+compiled extension is missing, or when the extension was built from
+an older ``_dbmkernel.c`` than :data:`KERNEL_VERSION` (a stale in-place
+``.so``); :mod:`repro.zones.backend` catches that and simply leaves
+``native`` out of :func:`available_backends`, so a checkout without a
+compiler (or a wheel without the prebuilt artifact) falls back to the
+pure-python/numpy backends gracefully.
 
 Build the extension in place with::
 
@@ -41,6 +43,16 @@ from repro.zones import _dbmkernel as _k  # ImportError when unbuilt
 from repro.zones.dbm_numpy import NumpyDBM
 
 __all__ = ["NativeDBM", "NativeBatchExpander"]
+
+#: Kernel API this module and :mod:`repro.zones.store` call into.
+KERNEL_VERSION: int = 2
+
+_built = getattr(_k, "KERNEL_VERSION", 0)
+if _built < KERNEL_VERSION:
+    raise ImportError(
+        f"repro.zones._dbmkernel is a stale build (API version "
+        f"{_built}, need {KERNEL_VERSION}); rebuild it with "
+        f"`python setup.py build_ext --inplace`")
 
 #: Largest matrix the compiled kernels accept (stack-scratch bound).
 MAX_CLOCKS: int = _k.MAX_CLOCKS
@@ -180,8 +192,7 @@ class NativeBatchExpander:
     garbage-allowed contract for dead ones.  Instead of one broadcast
     numpy kernel per plan *op*, the whole pipeline (guards → resets →
     frees → invariants → delay → extrapolation) runs per element inside
-    ``_dbmkernel.run_plan`` with early exit on emptiness, and the GIL
-    is released across the batch loop so sharded worker threads scale.
+    ``_dbmkernel.run_plan`` with early exit on emptiness.
     """
 
     __slots__ = ("n", "max_consts", "_zone_ops_cache")

@@ -9,13 +9,12 @@ and answers two questions on every candidate successor:
   zone it subsumes and returning the waiting-list entries of the
   evicted zones so the explorer can mark them dead.
 
-In the seed these were per-zone :meth:`DBM.includes` calls — by far
-the hottest code in every experiment (millions of Python-level matrix
-comparisons).  The buckets here batch the sweep over the whole
-antichain: the reference bucket runs an early-exit elementwise loop
-over the raw bound lists, the numpy bucket keeps the zones stacked in
-one ``(capacity, n²)`` int64 array and answers both questions with a
-single broadcast comparison.
+These two scans are the hottest code of every exploration.  The
+reference bucket runs an early-exit elementwise loop over the raw
+bound lists.  The numpy bucket keeps the zones stacked in one
+``(capacity, n²)`` int64 array and scans it in C
+(``_dbmkernel.store_covers``/``store_insert``) whenever the compiled
+extension is importable, or with numpy broadcasts when it is not.
 
 Buckets deliberately reach into the backing storage (``zone._m``) of
 their matching backend — they are the other half of each backend's
@@ -26,6 +25,8 @@ stored zones are freshly materialized and only read from then on).
 
 from __future__ import annotations
 
+import functools
+from math import isqrt
 from typing import Any
 
 __all__ = ["ReferencePassedBucket", "NumpyPassedBucket"]
@@ -82,22 +83,53 @@ class ReferencePassedBucket:
         ``alive`` flag cleared here instead of being returned.  Returns
         one inserted-flag per candidate.
         """
-        flags: list[bool] = []
-        for zone, entry in zip(zones, entries):
-            if self.covers(zone):
-                flags.append(False)
-                continue
-            for evicted in self.insert(zone, entry):
+        return _commit_sequential(self.covers, self.insert, zones,
+                                  entries)
+
+
+def _commit_sequential(covers, insert, candidates, entries) -> list[bool]:
+    """``covers``-or-``insert`` per candidate, in order; clears the
+    ``alive`` flag of every evicted entry and returns inserted-flags."""
+    flags: list[bool] = []
+    for candidate, entry in zip(candidates, entries):
+        inserted = not covers(candidate)
+        if inserted:
+            for evicted in insert(candidate, entry):
                 evicted.alive = False
-            flags.append(True)
-        return flags
+        flags.append(inserted)
+    return flags
+
+
+@functools.cache
+def _native_scan():
+    """The compiled scan kernel, or ``None`` when it is not importable.
+
+    Goes through :mod:`repro.zones.dbm_native`, which refuses a stale
+    build, so a bucket never calls a scan the loaded ``.so`` lacks.
+    Tests monkeypatch this handle to force the numpy fallback.
+    """
+    try:
+        from repro.zones.dbm_native import _k
+    except ImportError:
+        return None
+    return _k
 
 
 class NumpyPassedBucket:
-    """Antichain of numpy-backed DBMs stacked in one comparison array.
+    """Antichain of numpy-backed DBMs stacked as rows of one array.
 
-    Besides the row stack the bucket keeps two elementwise envelopes
-    as O(n²) prefilters:
+    Rows ``0.._count`` of the ``(capacity, n²)`` int64 stack hold the
+    stored zones in insertion order; the capacity doubles when full.
+
+    With the compiled extension importable (:func:`_native_scan`, fixed
+    per bucket at construction) each scan is one C call:
+    ``store_covers`` stops at the first stored row that dominates the
+    candidate, and ``store_insert`` compacts the stack in place —
+    dropping the rows the candidate dominates — appends the candidate
+    and returns the evicted positions.
+
+    Without the extension the same verdicts come from numpy broadcasts
+    over the live rows, gated by two elementwise envelopes:
 
     * ``_upper`` — elementwise maximum of the stored rows.  A stored
       zone can only include a candidate whose every bound lies below
@@ -107,347 +139,113 @@ class NumpyPassedBucket:
       can only evict a stored zone when it dominates the envelope, so
       a failed ``candidate ≥ lower`` test skips the eviction sweep.
 
-    Eviction compacts the stack in place *and* recomputes both
-    envelopes from the surviving rows.  (An earlier revision left the
-    envelopes conservatively wide after evictions — still sound, but
-    every subsequent broadcast sweep kept paying for contributions of
-    rows that no longer existed, so the prefilters degraded to
-    always-pass on long-lived buckets.)
-
-    Storage width: the scalar ``covers``/``insert`` path keeps the
-    stack in int64 (zones hand over their matrices without
-    conversion).  The sharded explorer's :meth:`commit_batch` narrows
-    the stack to int32 — encoded bounds are tiny, and ``INF`` maps to
-    an order-preserving sentinel (``2³¹ − 1``) — which halves the
-    bandwidth of the broadcast sweeps.  The conversion is lossless and
-    reversible; a bound that does not fit (|value| ≥ 2³⁰, only
-    possible with extreme user constants) forces the bucket back to
-    int64 permanently.
+    An eviction recomputes both envelopes from the surviving rows, so
+    they never keep contributions of rows that no longer exist.  The C
+    scans keep no envelopes: their early exit already stops at the
+    first refuting bound.
     """
 
-    __slots__ = ("_np", "_stack", "_count", "_upper", "_lower",
-                 "entries", "_mode", "trusted_narrow", "_key_cols")
-
-    #: Sentinel for ``INF`` in narrowed stacks; every representable
-    #: finite bound is strictly smaller, so ordering is preserved.
-    NARROW_INF = (1 << 31) - 1
-    #: Finite bounds must lie strictly inside ±``NARROW_LIMIT`` to
-    #: narrow losslessly.
-    NARROW_LIMIT = 1 << 30
-
-    _WIDE, _NARROW, _WIDE_FORCED = 0, 1, 2
+    __slots__ = ("_np", "_scan", "_n", "_stack", "_count", "_upper",
+                 "_lower", "entries")
 
     def __init__(self):
         import numpy
         self._np = numpy
+        self._scan = _native_scan()
+        self._n = 0  # clocks per zone, fixed by the first insert
         self._stack = None  # (capacity, n²), rows 0.._count valid
         self._count = 0
         self._upper = None
         self._lower = None
         self.entries: list[Any] = []
-        self._mode = self._WIDE
-        #: Set by the sharded explorer when the model's extrapolation
-        #: ceilings prove every finite bound fits int32 — skips the
-        #: per-batch range validation in :meth:`commit_batch`.
-        self.trusted_narrow = False
-        self._key_cols = None
 
     def __len__(self) -> int:
         return self._count
 
-    # -- storage-width switching ----------------------------------------
-    def _to_wide(self, forced: bool = False) -> None:
-        """Restore the exact int64 stack from a narrowed one."""
-        np = self._np
-        if self._mode == self._NARROW and self._stack is not None:
-            from repro.zones.bounds import INF
-            wide = self._stack.astype(np.int64)
-            wide[self._stack == self.NARROW_INF] = INF
-            self._stack = wide
-            if self._count:
-                self._refresh_envelopes(self._count)
-            else:
-                self._upper = self._lower = None
-        self._mode = self._WIDE_FORCED if forced else self._WIDE
-
-    def _narrow_rows(self, rows):
-        """int32 image of int64 rows, or ``None`` when out of range."""
-        np = self._np
-        if not self.trusted_narrow:
-            from repro.zones.bounds import INF
-            limit = self.NARROW_LIMIT
-            valid = ((rows == INF)
-                     | ((rows < limit) & (rows > -limit))).all()
-            if not valid:
-                return None
-        return np.clip(rows, -self.NARROW_INF,
-                       self.NARROW_INF).astype(np.int32)
-
-    def _try_narrow(self) -> bool:
-        """Narrow the stored stack for batched commits (idempotent)."""
-        if self._mode == self._NARROW:
-            return True
-        if self._mode == self._WIDE_FORCED:
-            return False
-        count = self._count
-        if self._stack is None or count == 0:
-            self._stack = None
-            self._upper = self._lower = None
-            self._mode = self._NARROW
-            return True
-        narrowed = self._narrow_rows(self._stack[:count])
-        if narrowed is None:
-            self._mode = self._WIDE_FORCED
-            return False
-        self._stack = narrowed
-        self._mode = self._NARROW
-        self._refresh_envelopes(count)
-        return True
-
     def covers(self, zone) -> bool:
         """True when a stored zone includes ``zone``."""
-        if self._count == 0:
-            return False
-        if self._mode == self._NARROW:
-            self._to_wide()
-        row = zone._m.reshape(-1)
-        if not (row <= self._upper).all():
-            return False
-        stack = self._stack[:self._count]
-        return bool((stack >= row).all(axis=1).any())
+        return self._covers(zone._m)
 
     def insert(self, zone, entry) -> list:
         """Store ``zone``; return entries of evicted (subsumed) zones."""
-        np = self._np
-        if self._mode == self._NARROW:
-            self._to_wide()
-        row = zone._m.reshape(-1)
-        count = self._count
-        evicted: list[Any] = []
-        if self._stack is None:
-            self._stack = np.empty((4, row.shape[0]), dtype=np.int64)
-            self._upper = row.copy()
-            self._lower = row.copy()
-        else:
-            compacted = False
-            if count and (row >= self._lower).all():
-                stack = self._stack[:count]
-                subsumed = (row >= stack).all(axis=1)
-                if subsumed.any():
-                    flags = subsumed.tolist()
-                    evicted = [e for e, dead in zip(self.entries, flags)
-                               if dead]
-                    self.entries = [e for e, dead
-                                    in zip(self.entries, flags)
-                                    if not dead]
-                    keep = ~subsumed
-                    kept = int(keep.sum())
-                    # Fancy indexing copies; in-place compaction is safe.
-                    self._stack[:kept] = stack[keep]
-                    count = kept
-                    compacted = True
-            if compacted:
-                # Rebuild exact envelopes over live rows + the new one.
-                self._refresh_envelopes(count, row)
-            else:
-                np.maximum(self._upper, row, out=self._upper)
-                np.minimum(self._lower, row, out=self._lower)
-        if count == self._stack.shape[0]:
-            grown = np.empty((2 * count, row.shape[0]), dtype=np.int64)
-            grown[:count] = self._stack[:count]
-            self._stack = grown
-        self._stack[count] = row
-        self.entries.append(entry)
-        self._count = count + 1
-        return evicted
-
-    def _key_columns(self, width: int):
-        """Indices of row 0 and column 0 in a flattened ``n × n`` DBM."""
-        cols = self._key_cols
-        if cols is None or cols[-1] >= width:
-            np = self._np
-            n = int(round(width ** 0.5))
-            cols = np.concatenate(
-                [np.arange(n, dtype=np.intp),
-                 np.arange(1, n, dtype=np.intp) * n])
-            cols.sort()
-            self._key_cols = cols
-        return cols
-
-    def _refresh_envelopes(self, count: int, extra_row=None) -> None:
-        """Exact elementwise max/min envelopes of the live rows."""
-        np = self._np
-        live = self._stack[:count]
-        if (self._upper is None
-                or self._upper.dtype != self._stack.dtype):
-            width = self._stack.shape[1]
-            self._upper = np.empty(width, dtype=self._stack.dtype)
-            self._lower = np.empty(width, dtype=self._stack.dtype)
-        if count:
-            np.max(live, axis=0, out=self._upper)
-            np.min(live, axis=0, out=self._lower)
-            if extra_row is not None:
-                np.maximum(self._upper, extra_row, out=self._upper)
-                np.minimum(self._lower, extra_row, out=self._lower)
-        elif extra_row is not None:
-            self._upper[:] = extra_row
-            self._lower[:] = extra_row
+        return self._insert(zone._m, entry)
 
     def commit_batch(self, rows, entries) -> list[bool]:
         """Ordered batch of ``covers``/``insert`` steps on row vectors.
 
-        ``rows`` is a ``(C, n²)`` int64 array of candidate snapshots in
-        the explorer's global commit order.  The outcome is
-        bit-identical to running ``covers``/``insert`` per candidate in
-        that order — the proof rests on coverage being monotone (an
-        eviction replaces a stored zone by a superset, so the covered
-        set only ever grows), which lets the pre-existing stack be
-        compared against the whole batch in one broadcast:
-
-        * ``pre[j]`` — candidate ``j`` covered by the wave-start stack,
-        * ``inc[i, j]`` — candidate ``i`` includes candidate ``j``,
-        * ``evict[i, s]`` — candidate ``i`` includes stored row ``s``.
-
-        A candidate is inserted iff neither ``pre`` nor an
-        earlier-inserted candidate covers it; insertions evict stored
-        rows and earlier-inserted candidates they include (those
-        entries get ``alive`` cleared).  The stack is rebuilt compacted
-        and the envelopes exactly recomputed.
-
-        The intra-batch resolution itself is one triangular broadcast
-        instead of an ordered Python scan: ``j`` is blocked iff
-        ``pre[j]`` or some *earlier, non-pre* candidate includes it —
-        equivalent to "some earlier inserted candidate includes it"
-        because inclusion is transitive (a blocked earlier includer is
-        itself included by an inserted one, which then includes ``j``)
-        and ``pre`` is inclusion-upward-closed (a stored row covering
-        the includer covers ``j`` too).  Likewise an inserted
-        candidate dies iff a *later inserted* candidate includes it.
-
-        Comparisons run on the narrowed int32 stack when the bounds
-        fit (see the class docstring) — narrowing is order-preserving,
-        so the verdicts are identical to the int64 sweeps.
+        ``rows`` is a ``(C, n²)`` int64 array of candidate snapshots;
+        the outcome is that of the sequential per-candidate loop (see
+        :meth:`ReferencePassedBucket.commit_batch`).
         """
-        np = self._np
-        if self._try_narrow():
-            narrowed = self._narrow_rows(rows)
-            if narrowed is not None:
-                rows = narrowed
-            else:
-                self._to_wide(forced=True)
-        n_cand = len(entries)
+        rows = self._np.ascontiguousarray(rows, dtype=self._np.int64)
+        return _commit_sequential(self._covers, self._insert, rows,
+                                  entries)
+
+    def _covers(self, m) -> bool:
         count = self._count
-        if count:
-            stack = self._stack[:count]
-            # Envelope prefilters (same as the scalar sweeps): only
-            # candidates below the upper envelope can be covered, only
-            # candidates above the lower envelope can evict.
-            may_cover = (rows <= self._upper).all(axis=1)
-            may_evict = (rows >= self._lower).all(axis=1).tolist()
-            pre = may_cover.copy()
-            if may_cover.any():
-                sub = rows[may_cover]
-                # Staged sweep: compare the discriminating coordinates
-                # first (clock upper/lower bounds — row 0 and column 0
-                # of the DBM), then verify surviving (candidate,
-                # stored) pairs on the full row.  Sound because a
-                # failed subset comparison refutes the full one.
-                key_cols = self._key_columns(rows.shape[1])
-                maybe = (stack[:, key_cols][None, :, :]
-                         >= sub[:, key_cols][:, None, :]).all(axis=2)
-                verdict = maybe.any(axis=1)
-                for c in np.nonzero(verdict)[0]:
-                    hits = stack[np.nonzero(maybe[c])[0]]
-                    verdict[c] = bool(
-                        (hits >= sub[c]).all(axis=1).any())
-                pre[may_cover] = verdict
+        if not count:
+            return False
+        scan = self._scan
+        if scan is not None:
+            return scan.store_covers(self._stack, count, m, self._n)
+        row = m.reshape(-1)
+        if not (row <= self._upper).all():
+            return False
+        return bool((self._stack[:count] >= row).all(axis=1).any())
+
+    def _insert(self, m, entry) -> list:
+        np = self._np
+        count = self._count
+        stack = self._stack
+        if stack is None:
+            width = m.size
+            self._n = isqrt(width)
+            stack = self._stack = np.empty((4, width), dtype=np.int64)
+        elif count == stack.shape[0]:
+            grown = np.empty((2 * count, stack.shape[1]), dtype=np.int64)
+            grown[:count] = stack
+            stack = self._stack = grown
+        scan = self._scan
+        if scan is not None:
+            positions = scan.store_insert(stack, count, m, self._n)
         else:
-            pre = np.zeros(n_cand, dtype=bool)
-            may_evict = None
-
-        if n_cand > 1:
-            inc = (rows[:, None, :] >= rows[None, :, :]).all(axis=2)
-            # earlier[i, j] ⇔ i precedes j in the commit order.
-            earlier = np.triu(np.ones((n_cand, n_cand), dtype=bool),
-                              k=1)
-            blocked = (inc & earlier & ~pre[:, None]).any(axis=0)
-            ins_mask = ~pre & ~blocked
-            # later[j, i] ⇔ j follows i: an inserted candidate dies
-            # when a later inserted candidate includes it.
-            killed = ((inc & earlier.T & ins_mask[:, None]).any(axis=0)
-                      & ins_mask)
+            positions = self._insert_broadcast(m.reshape(-1), count)
+        entries = self.entries
+        if positions:
+            evicted = [entries[i] for i in positions]
+            dead = set(positions)
+            entries = self.entries = [
+                e for i, e in enumerate(entries) if i not in dead]
         else:
-            ins_mask = ~pre
-            killed = np.zeros(n_cand, dtype=bool)
+            evicted = positions
+        entries.append(entry)
+        self._count = len(entries)
+        return evicted
 
-        stored_alive = [True] * count
-        if count:
-            evictors = np.flatnonzero(
-                ins_mask & np.asarray(may_evict, dtype=bool))
-            if evictors.size:
-                dead = (rows[evictors][:, None, :]
-                        >= stack[None, :, :]).all(axis=2).any(axis=0)
-                for s in np.flatnonzero(dead):
-                    stored_alive[s] = False
-                    self.entries[s].alive = False
-        for i in np.flatnonzero(killed):
-            entries[i].alive = False
-        inserted = np.flatnonzero(ins_mask).tolist()
-        cand_alive = (ins_mask & ~killed).tolist()
-        flags = ins_mask.tolist()
-        if not inserted:
-            return flags
-
-        width = rows.shape[1]
-        live = [j for j in inserted if cand_alive[j]]
-        no_evictions = (len(live) == len(inserted)
-                        and (not count or all(stored_alive)))
-        if no_evictions:
-            # Append-only fast path (the overwhelmingly common case):
-            # grow in place exactly like the sequential ``insert``.
-            need = count + len(live)
-            if self._stack is None:
-                capacity = max(4, need)
-                self._stack = np.empty((capacity, width),
-                                       dtype=rows.dtype)
-                self._upper = rows[live[0]].copy()
-                self._lower = rows[live[0]].copy()
-            elif need > self._stack.shape[0]:
-                capacity = max(2 * self._stack.shape[0], need)
-                grown = np.empty((capacity, width),
-                                 dtype=self._stack.dtype)
-                grown[:count] = self._stack[:count]
-                self._stack = grown
-            for offset, j in enumerate(live):
-                row = rows[j]
-                self._stack[count + offset] = row
-                np.maximum(self._upper, row, out=self._upper)
-                np.minimum(self._lower, row, out=self._lower)
-            self._count = need
-            self.entries.extend(entries[j] for j in live)
-            return flags
-
-        # Eviction path: compact the stack and rebuild exact envelopes.
-        new_entries = [e for e, alive in zip(self.entries, stored_alive)
-                       if alive]
-        new_entries.extend(entries[j] for j in live)
-        new_count = len(new_entries)
-        old_stack = self._stack
-        if old_stack is None or new_count > old_stack.shape[0]:
-            capacity = max(4, old_stack.shape[0] * 2
-                           if old_stack is not None else 4, new_count)
-            self._stack = np.empty((capacity, width), dtype=rows.dtype)
-        pos = 0
-        if count:
-            keep = np.fromiter(stored_alive, dtype=bool, count=count)
-            kept = int(keep.sum())
-            if kept:
-                self._stack[:kept] = stack[keep]
-            pos = kept
-        for j in live:
-            self._stack[pos] = rows[j]
-            pos += 1
-        self._count = pos
-        self.entries = new_entries
-        self._refresh_envelopes(pos)
-        return flags
+    def _insert_broadcast(self, row, count: int) -> list[int]:
+        """Numpy fallback of ``store_insert``: write ``row`` after the
+        surviving rows, keep the envelopes exact, return the evicted
+        positions."""
+        np = self._np
+        stack = self._stack
+        if not count:
+            stack[0] = row
+            self._upper = row.copy()
+            self._lower = row.copy()
+            return []
+        if (row >= self._lower).all():
+            live = stack[:count]
+            subsumed = (row >= live).all(axis=1)
+            if subsumed.any():
+                kept = count - int(subsumed.sum())
+                # Fancy indexing copies; in-place compaction is safe.
+                stack[:kept] = live[~subsumed]
+                stack[kept] = row
+                live = stack[:kept + 1]
+                self._upper = live.max(axis=0)
+                self._lower = live.min(axis=0)
+                return np.flatnonzero(subsumed).tolist()
+        stack[count] = row
+        np.maximum(self._upper, row, out=self._upper)
+        np.minimum(self._lower, row, out=self._lower)
+        return []

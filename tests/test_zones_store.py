@@ -1,22 +1,31 @@
-"""Passed-bucket invariants: envelopes, compaction, batched commits.
+"""Passed-bucket invariants: scans, envelopes, compaction, batches.
 
-The numpy bucket's eviction path must compact the stacked comparison
-array *and* recompute the min/max envelopes from the surviving rows
-(stale envelope contributions from evicted rows degrade the
-prefilters to always-pass).  ``commit_batch`` — a batched merge
-primitive — must be observationally identical to the
-sequential ``covers``/``insert`` loop, including which waiting
-entries it kills, across the int32-narrowed and int64 storage modes.
+The numpy bucket scans its row stack in C when the extension is
+built and with numpy broadcasts otherwise; both must agree with the
+reference bucket step for step — covers verdicts, evicted entries and
+their order, sizes and surviving rows.  The broadcast fallback's
+eviction path must compact the stack *and* recompute the min/max
+envelopes from the surviving rows (stale envelope contributions from
+evicted rows degrade the prefilters to always-pass).  ``commit_batch``
+must be observationally identical to the sequential
+``covers``/``insert`` loop, including which waiting entries it kills.
+The C scans must reject malformed buffers with ``ValueError``.
 """
 
 from __future__ import annotations
 
+import importlib
 import random
+import sys
+import types
 
 import pytest
 
+import repro.zones
+from repro.zones import backend, store
 from repro.zones.backend import available_backends, resolve_backend
 from repro.zones.bounds import INF
+from repro.zones.dbm import DBM
 
 numpy = pytest.importorskip("numpy")
 
@@ -57,10 +66,25 @@ def numpy_backend():
     return resolve_backend("numpy")
 
 
+@pytest.fixture
+def numpy_fallback(numpy_backend, monkeypatch):
+    """The numpy backend with the broadcast scans forced."""
+    monkeypatch.setattr(store, "_native_scan", lambda: None)
+    return numpy_backend
+
+
+@pytest.fixture
+def kernel():
+    scan = store._native_scan()
+    if scan is None:
+        pytest.skip("native kernel not built")
+    return scan
+
+
 class TestEnvelopes:
-    def test_eviction_recomputes_envelopes(self, numpy_backend):
-        dbm = numpy_backend.dbm
-        bucket = numpy_backend.bucket()
+    def test_eviction_recomputes_envelopes(self, numpy_fallback):
+        dbm = numpy_fallback.dbm
+        bucket = numpy_fallback.bucket()
         small = dbm.universal(3).constrain(1, 0, 11)
         other = dbm.universal(3).constrain(2, 0, 7)
         big = dbm.universal(3).constrain(1, 0, 21)
@@ -84,31 +108,15 @@ class TestEnvelopes:
         assert not bucket.covers(dbm.universal(3))
 
 
-class TestNarrowing:
-    def test_narrow_roundtrip_preserves_rows(self, numpy_backend):
-        dbm = numpy_backend.dbm
-        bucket = numpy_backend.bucket()
-        zone = dbm.zero(3).up().constrain(1, 0, 11)
-        bucket.insert(zone, Entry(0))
-        rows_before = _bucket_rows(bucket)
-        assert bucket._try_narrow()
-        assert bucket._stack.dtype == numpy.int32
-        # INF maps to the order-preserving sentinel, not a wrapped int.
-        assert (bucket._stack[:1] == bucket.NARROW_INF).sum() == \
-            rows_before[0].count(INF)
-        bucket._to_wide()
-        assert bucket._stack.dtype == numpy.int64
-        assert _bucket_rows(bucket) == rows_before
-
-    def test_out_of_range_bound_forces_wide(self, numpy_backend):
-        dbm = numpy_backend.dbm
-        bucket = numpy_backend.bucket()
-        huge = dbm.zero(2).up().constrain(1, 0, (1 << 31) + 7)
-        row = huge._m.reshape(1, -1)
-        flags = bucket.commit_batch(row.copy(), [Entry(0)])
-        assert flags == [True]
-        assert bucket._stack.dtype == numpy.int64
-        assert bucket._mode == bucket._WIDE_FORCED
+def test_huge_bound_stored_exactly(numpy_backend):
+    """Bounds beyond 32 bits commit and round-trip through the stack."""
+    dbm = numpy_backend.dbm
+    bucket = numpy_backend.bucket()
+    huge = dbm.zero(2).up().constrain(1, 0, (1 << 31) + 7)
+    row = huge._m.reshape(1, -1)
+    assert bucket.commit_batch(row.copy(), [Entry(0)]) == [True]
+    assert _bucket_rows(bucket) == [tuple(huge._m.reshape(-1).tolist())]
+    assert bucket.covers(huge)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -155,7 +163,6 @@ def test_commit_batch_matches_sequential(backend, seed):
     assert [e.alive for e in batch_entries] == \
         [e.alive for e in seq_entries]
     if backend in ("numpy", "native"):
-        batched._to_wide()
         assert _bucket_rows(batched) == [
             tuple(row) for row in sequential._stack[:len(sequential)]
             .tolist()]
@@ -163,11 +170,174 @@ def test_commit_batch_matches_sequential(backend, seed):
         assert batched._rows == sequential._rows
 
 
-def test_commit_batch_trusted_narrow_skips_validation(numpy_backend):
-    bucket = numpy_backend.bucket()
-    bucket.trusted_narrow = True
-    dbm = numpy_backend.dbm
-    zone = dbm.zero(3).up().constrain(1, 0, 11)
-    rows = zone._m.reshape(1, -1)
-    assert bucket.commit_batch(rows.copy(), [Entry(0)]) == [True]
-    assert bucket._stack.dtype == numpy.int32
+# -- three-way lockstep: reference, numpy + C scan, numpy fallback ------
+
+def _lockstep_buckets(monkeypatch):
+    """``(name, bucket, zone converter)`` for every available scan."""
+    from repro.zones.dbm_numpy import NumpyDBM
+
+    def as_numpy(zone):
+        return NumpyDBM(zone.size, _m=list(zone._m))
+
+    buckets = [("reference", store.ReferencePassedBucket(), None)]
+    if store._native_scan() is not None:
+        buckets.append(("c-scan", store.NumpyPassedBucket(), as_numpy))
+    with monkeypatch.context() as patch:
+        patch.setattr(store, "_native_scan", lambda: None)
+        buckets.append(("fallback", store.NumpyPassedBucket(), as_numpy))
+    return buckets
+
+
+def _surviving_rows(bucket):
+    if isinstance(bucket, store.ReferencePassedBucket):
+        return [tuple(row) for row in bucket._rows]
+    return _bucket_rows(bucket)
+
+
+def _lockstep_zone(rng, size):
+    """Small-constant zones, so inclusion (and eviction) is common;
+    unconstrained clocks keep ``INF`` upper bounds."""
+    zone = DBM.universal(size) if rng.random() < 0.5 else DBM.zero(size).up()
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(size), 2)
+        bound = rng.randrange(0, 6) * 2 + rng.randint(0, 1)
+        if i == 0:
+            bound = -bound
+        zone.constrain(i, j, bound)
+    return None if zone.is_empty() else zone
+
+
+def _run_lockstep(buckets, steps):
+    """Apply ``("covers"|"insert", zone)`` steps to every bucket and
+    assert they agree after each one."""
+    for index, (op, zone) in enumerate(steps):
+        outcomes = []
+        for name, bucket, convert in buckets:
+            candidate = convert(zone) if convert else zone
+            if op == "covers":
+                outcomes.append(bucket.covers(candidate))
+            else:
+                evicted = bucket.insert(candidate, Entry(index))
+                outcomes.append([e.tag for e in evicted])
+        assert all(o == outcomes[0] for o in outcomes), (index, op,
+                                                          outcomes)
+        reference = buckets[0][1]
+        for name, bucket, _ in buckets[1:]:
+            assert len(bucket) == len(reference), name
+            assert ([e.tag for e in bucket.entries]
+                    == [e.tag for e in reference.entries]), name
+            assert _surviving_rows(bucket) == _surviving_rows(reference)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_store_ops_lockstep(numpy_backend, monkeypatch, seed):
+    """Seeded random covers/insert sequences, including duplicate
+    zones (re-inserted without a covers check) and growth past the
+    initial capacity of 4."""
+    rng = random.Random(seed)
+    pool = []
+    while len(pool) < 40:
+        zone = _lockstep_zone(rng, 3)
+        if zone is not None:
+            pool.append(zone)
+    steps = [(rng.choice(("covers", "insert")), rng.choice(pool))
+             for _ in range(160)]
+    buckets = _lockstep_buckets(monkeypatch)
+    _run_lockstep(buckets, steps)
+    assert any(INF in row for row in _surviving_rows(buckets[0][1]))
+
+
+def test_store_ops_lockstep_multi_eviction_and_growth(numpy_backend,
+                                                      monkeypatch):
+    """Six incomparable zones outgrow capacity 4; a duplicate is
+    evicted by its twin; then one wide zone evicts several rows while
+    an incomparable one survives."""
+    narrow = [DBM.universal(3).constrain(1, 0, 2 * k + 1)
+              .constrain(2, 0, 2 * (6 - k) + 1) for k in range(6)]
+    other = DBM.universal(3).constrain(1, 2, 1)
+    wide = DBM.universal(3).constrain(1, 0, 21).constrain(2, 0, 21)
+    steps = [("insert", zone) for zone in narrow]
+    steps += [("insert", narrow[2]), ("insert", other),
+              ("covers", narrow[0]), ("covers", wide),
+              ("insert", wide), ("covers", narrow[3])]
+    buckets = _lockstep_buckets(monkeypatch)
+    _run_lockstep(buckets, steps)
+    reference = buckets[0][1]
+    assert [e.tag for e in reference.entries] == [7, 10]
+    for _, bucket, _ in buckets[1:]:
+        assert bucket._stack.shape[0] > 4
+
+
+# -- C input validation ---------------------------------------------------
+
+class TestScanValidation:
+    def _stack(self, rows=4, width=9):
+        return numpy.zeros((rows, width), dtype=numpy.int64)
+
+    @pytest.mark.parametrize("op", ["store_covers", "store_insert"])
+    def test_wrong_width(self, kernel, op):
+        scan = getattr(kernel, op)
+        row = numpy.zeros(9, dtype=numpy.int64)
+        with pytest.raises(ValueError):
+            scan(self._stack(width=16), 1, row, 3)
+        with pytest.raises(ValueError):
+            scan(self._stack(), 1, numpy.zeros(16, dtype=numpy.int64), 3)
+
+    @pytest.mark.parametrize("op", ["store_covers", "store_insert"])
+    @pytest.mark.parametrize("count", [-1, 5])
+    def test_count_beyond_rows(self, kernel, op, count):
+        row = numpy.zeros(9, dtype=numpy.int64)
+        with pytest.raises(ValueError):
+            getattr(kernel, op)(self._stack(), count, row, 3)
+
+    def test_insert_needs_a_free_row(self, kernel):
+        row = numpy.zeros(9, dtype=numpy.int64)
+        assert kernel.store_covers(self._stack(), 4, row, 3)
+        with pytest.raises(ValueError):
+            kernel.store_insert(self._stack(), 4, row, 3)
+
+    @pytest.mark.parametrize("op", ["store_covers", "store_insert"])
+    def test_non_contiguous_buffers(self, kernel, op):
+        scan = getattr(kernel, op)
+        row = numpy.zeros(9, dtype=numpy.int64)
+        strided = numpy.zeros((4, 18), dtype=numpy.int64)[:, ::2]
+        with pytest.raises(ValueError):
+            scan(strided, 1, row, 3)
+        transposed = numpy.arange(9, dtype=numpy.int64).reshape(3, 3).T
+        with pytest.raises(ValueError):
+            scan(self._stack(), 1, transposed, 3)
+
+    @pytest.mark.parametrize("op", ["store_covers", "store_insert"])
+    @pytest.mark.parametrize("dtype", ["int32", "float64", "uint64"])
+    def test_wrong_dtype(self, kernel, op, dtype):
+        scan = getattr(kernel, op)
+        row = numpy.zeros(9, dtype=numpy.int64)
+        with pytest.raises(ValueError):
+            scan(self._stack().astype(dtype), 1, row, 3)
+        with pytest.raises(ValueError):
+            scan(self._stack(), 1, row.astype(dtype), 3)
+
+    def test_insert_reports_ascending_positions(self, kernel):
+        stack = self._stack(rows=4)
+        stack[:3] = [[1] * 9, [5] * 9, [0] * 9]
+        row = numpy.full(9, 2, dtype=numpy.int64)
+        assert kernel.store_insert(stack, 3, row, 3) == [0, 2]
+        assert stack[:2].tolist() == [[5] * 9, [2] * 9]
+
+
+# -- stale in-place builds -------------------------------------------------
+
+def test_stale_kernel_build_is_refused(monkeypatch):
+    """An extension older than the wrapper drops ``native`` (and the C
+    scans) through the ImportError fallback."""
+    stale = types.ModuleType("repro.zones._dbmkernel")
+    stale.KERNEL_VERSION = 1
+    monkeypatch.setitem(sys.modules, "repro.zones._dbmkernel", stale)
+    monkeypatch.setattr(repro.zones, "_dbmkernel", stale, raising=False)
+    monkeypatch.delitem(sys.modules, "repro.zones.dbm_native",
+                        raising=False)
+    with pytest.raises(ImportError, match="stale build"):
+        importlib.import_module("repro.zones.dbm_native")
+    assert store._native_scan.__wrapped__() is None
+    monkeypatch.setattr(backend, "_native_backend", None)
+    assert "native" not in available_backends()
