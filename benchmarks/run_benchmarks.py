@@ -657,7 +657,7 @@ def _batched_kernel_row(expander_cls, dbm_cls, n, width) -> float:
     plan = SimpleNamespace(
         guard_ops=((1, 0, encode(15, True)),) if n > 1 else (),
         error=None,
-        zone_ops=(("reset", 1, 0),) if n > 1 else (),
+        zone_ops=((0, 1, 0),) if n > 1 else (),
         free_clocks=(),
         invariant_ops=((0, 1, encode(0, True)),) if n > 1 else (),
         delay=True,

@@ -20,15 +20,21 @@ Performance architecture (see ``docs/PERFORMANCE.md``):
   The explorer compiles this once per discrete configuration into a
   list of :class:`_MovePlan` steps; expanding a state then runs pure
   zone arithmetic.
-* **Fused, allocation-lean zone pipeline.**  Each plan step executes
-  copy → constrain* → reset*/copy* → free* → invariants → up →
-  extrapolate on a single reusable scratch matrix (``copy_from`` +
-  ``constrain_all`` with early exit on emptiness); a fresh zone is
-  materialized only for successors that survive all emptiness checks.
-* **Batched passed-list subsumption.**  Per discrete configuration the
-  stored zones live in a backend-paired bucket
-  (:mod:`repro.zones.store`) that answers inclusion/eviction sweeps in
-  one pass instead of per-zone ``includes`` calls.
+* **One zone call per successor plan.**  Each plan step — guards →
+  resets/copies → frees → invariants → delay → extrapolation, with
+  early exit on emptiness — is one :meth:`ZoneMatrix.apply_plan
+  <repro.zones.common.ZoneMatrix.apply_plan>` call.  The reference
+  and numpy backends replay it op by op on one reusable scratch
+  matrix and copy out only the survivors; the native backend runs the
+  whole plan inside a single ``_dbmkernel.run_plan`` call.
+* **Backend-paired passed store.**  Per discrete configuration the
+  stored zones live in a bucket (:mod:`repro.zones.store`); with the
+  C extension built, its inclusion and eviction scans run in C.
+* **Trace links by reference.**  With ``trace=True`` every stored
+  successor records ``(parent_state, label)`` on itself
+  (:attr:`SymbolicState.link <repro.mc.state.SymbolicState.link>`);
+  :meth:`ZoneGraphExplorer.rebuild_trace` walks those links, so
+  tracing never snapshots a zone.
 * **Subsumption-aware waiting list** (opt-in ``lazy_subsumption``):
   when a newly stored zone evicts subsumed zones from the passed list,
   their waiting-list entries are marked dead and skipped on pop
@@ -38,9 +44,9 @@ Performance architecture (see ``docs/PERFORMANCE.md``):
   default stays eager — ``zone_graph_stats`` and the paper experiments
   report bit-identical numbers to the seed implementation.
 
-The zone backend (pure-Python reference or vectorized numpy) is chosen
+The zone backend (``reference``, ``numpy`` or ``native``) is chosen
 per explorer via ``zone_backend=``, the ``REPRO_ZONE_BACKEND``
-environment variable or :func:`repro.zones.backend.set_backend`; both
+environment variable or :func:`repro.zones.backend.set_backend`; all
 backends yield bit-identical zone graphs.
 """
 
@@ -96,8 +102,9 @@ class ExplorationResult:
     visited: int
     #: First state satisfying the stop predicate, if any.
     stopped: SymbolicState | None = None
-    #: Transition labels from the initial state to ``stopped``
-    #: (only when the explorer was created with ``trace=True``).
+    #: Transition labels from the initial state to ``stopped``, read
+    #: off the states' trace links (only when the explorer was created
+    #: with ``trace=True``).
     trace: list[str] | None = None
     #: True when the full zone graph was explored (no early stop).
     complete: bool = True
@@ -109,19 +116,19 @@ class ExplorationResult:
         return self.stopped is not None
 
 
-_NodeId = tuple[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]
-
-
 class _MovePlan:
     """One discrete move, fully resolved for a discrete configuration.
 
     Built once per (locations, valuation) pair: the data guards have
     already been evaluated (moves failing them never get a plan), the
     variable updates have been folded into ``vals``, and the zone work
-    is reduced to op lists the fused pipeline replays on a scratch
-    matrix.  ``error`` carries a deferred range-check failure that the
-    seed semantics raise only when the guard-constrained zone is
-    non-empty.
+    is reduced to op lists that :meth:`ZoneMatrix.apply_plan
+    <repro.zones.common.ZoneMatrix.apply_plan>` replays in one call.
+    ``zone_ops`` holds ``(0, clock, value)`` for a reset and
+    ``(1, clock, source_clock)`` for a clock copy — the integer kinds
+    the native kernel reads directly.  ``error`` carries a deferred
+    range-check failure that the seed semantics raise only when the
+    guard-constrained zone is non-empty.
     """
 
     __slots__ = ("guard_ops", "zone_ops", "free_clocks", "invariant_ops",
@@ -170,12 +177,14 @@ class ZoneGraphExplorer:
         sup queries that must observe values above the model's own
         constants.
     trace:
-        Record parent links so counterexample traces can be rebuilt.
+        Record a trace link on every stored state so counterexample
+        traces can be rebuilt.
     max_states:
         Hard cap on stored symbolic states.
     zone_backend:
-        Zone-kernel choice (``auto``/``reference``/``numpy``); ``None``
-        defers to :func:`repro.zones.backend.resolve_backend`.
+        Zone-kernel choice (``auto``/``reference``/``numpy``/
+        ``native``); ``None`` defers to
+        :func:`repro.zones.backend.resolve_backend`.
     lazy_subsumption:
         Skip waiting-list entries whose zone was evicted by a larger
         one before they were expanded.  The reduced zone graph is
@@ -207,16 +216,17 @@ class ZoneGraphExplorer:
         self.max_states = max_states
         # ``auto`` resolution consults the compiled network's shape
         # (clock count + the portfolio scheduler's structural-size
-        # measure); wave_width=1 models this sequential explorer's
-        # one-state-at-a-time kernel calls.
+        # measure).
         self.backend = resolve_backend(zone_backend, hint=BackendHint(
             n_clocks=self.compiled.n_clocks,
             structural_size=sum(len(a.locations) + len(a.edges)
-                                for a in network.automata),
-            wave_width=1))
+                                for a in network.automata)))
         self.lazy_subsumption = lazy_subsumption
         self._dbm = self.backend.dbm
         self._bucket_cls = self.backend.bucket
+        # Work matrix of the scalar plan replay (backends whose
+        # ``apply_plan`` runs in C leave it untouched).
+        self._scratch = self._dbm.zero(self.compiled.n_clocks)
         # Successor plans, memoized per discrete configuration.  Built
         # lazily so query compilation (protect_clocks) can still adjust
         # the active-clock tables before the first expansion; the
@@ -233,10 +243,6 @@ class ZoneGraphExplorer:
             self._conditional_free.append(
                 (self.compiled.var_pos(flag),
                  self.compiled.clock_id_by_name(clock)))
-        #: Parent links of the most recent traced exploration
-        #: (``{node_id: (parent_id | None, label)}``); lets the query
-        #: planner rebuild one trace per observer after a shared sweep.
-        self.parents: dict[_NodeId, tuple[_NodeId | None, str]] = {}
         #: Per-key passed buckets of the most recent exploration
         #: (diagnostics/benchmarks only).
         self.passed_store: dict | None = None
@@ -325,8 +331,10 @@ class ZoneGraphExplorer:
                         except ModelError as exc:
                             error = exc
                             break
-                    else:  # reset / copy: pure zone work
-                        zone_ops.append(op)
+                    elif op[0] == "reset":  # pure zone work
+                        zone_ops.append((0, op[1], op[2]))
+                    else:  # copy
+                        zone_ops.append((1, op[1], op[2]))
                 if error is not None:
                     break
             if error is not None:
@@ -371,44 +379,20 @@ class ZoneGraphExplorer:
     def successors(self, state: SymbolicState) \
             -> Iterator[tuple[SymbolicState, str]]:
         """All symbolic successors with their transition labels."""
-        plans = self.plans_for(state.key())
-        if not plans:
-            return
         src = state.zone
-        scratch = None
+        scratch = self._scratch
         max_consts = self.compiled.max_constants
-        for plan in plans:
-            if scratch is None:
-                scratch = src.copy()
-            else:
-                scratch.copy_from(src)
-            if not scratch.constrain_all(plan.guard_ops):
-                continue
-            if plan.error is not None:
+        for plan in self.plans_for(state.key()):
+            try:
+                zone = src.apply_plan(plan, max_consts, scratch)
+            except ModelError as exc:  # the plan's deferred error
                 raise ModelError(
-                    f"{plan.error} (while firing {plan.label} from "
+                    f"{exc} (while firing {plan.label} from "
                     f"{self.compiled.state_description(state)})"
-                ) from plan.error
-            for op in plan.zone_ops:
-                if op[0] == "reset":
-                    scratch.reset(op[1], op[2])
-                else:  # copy
-                    scratch.assign_clock(op[1], op[2])
-            if plan.free_clocks:
-                scratch.free_many(plan.free_clocks)
-            if not scratch.constrain_all(plan.invariant_ops):
-                continue
-            if plan.delay:
-                scratch.up()
-                scratch.constrain_all(plan.invariant_ops)
-            if plan.lu is not None:
-                scratch.extrapolate_lu(plan.lu[0], plan.lu[1])
-            else:
-                scratch.extrapolate_max(max_consts)
-            if scratch.is_empty():
-                continue
-            yield SymbolicState(plan.locs, plan.vals,
-                                scratch.copy()), plan.label
+                ) from exc
+            if zone is not None:
+                yield SymbolicState(plan.locs, plan.vals, zone), \
+                    plan.label
 
     @staticmethod
     def _move_label(move: tuple[CompiledEdge, ...]) -> str:
@@ -441,10 +425,6 @@ class ZoneGraphExplorer:
         # memory proxy; it is never consulted by the search itself.
         passed: dict[tuple, object] = {init.key(): bucket}
         self.passed_store = passed
-        parents = self.parents = {}
-        if trace_on:
-            init_id = (init.key(), init.zone.frozen())
-            parents[init_id] = (None, "<init>")
         stored = 1
         transitions = 0
         if visit is not None:
@@ -452,9 +432,7 @@ class ZoneGraphExplorer:
         if stop is not None and stop(init):
             return ExplorationResult(
                 visited=stored, stopped=init,
-                trace=self._rebuild(
-                    parents,
-                    (init.key(), init.zone.frozen())),
+                trace=self.rebuild_trace(init),
                 complete=False, transitions=transitions)
         waiting: deque[_WaitEntry] = deque([init_entry])
         while waiting:
@@ -462,8 +440,6 @@ class ZoneGraphExplorer:
             if lazy and not entry.alive:
                 continue
             state = entry.state
-            state_id = ((state.key(), state.zone.frozen())
-                        if trace_on else None)
             for succ, label in self.successors(state):
                 transitions += 1
                 key = succ.key()
@@ -482,41 +458,37 @@ class ZoneGraphExplorer:
                         f"exceeded {self.max_states} symbolic states "
                         f"exploring {self.network.name!r}")
                 if trace_on:
-                    parents[(key, succ.zone.frozen())] = (state_id, label)
+                    succ.link = (state, label)
                 if visit is not None:
                     visit(succ)
                 if stop is not None and stop(succ):
                     return ExplorationResult(
                         visited=stored, stopped=succ,
-                        trace=self._rebuild(
-                            parents, (key, succ.zone.frozen())),
+                        trace=self.rebuild_trace(succ),
                         complete=False, transitions=transitions)
                 waiting.append(succ_entry)
         return ExplorationResult(visited=stored, complete=True,
                                  transitions=transitions)
 
-    def rebuild_trace(self, node_id: _NodeId) -> list[str] | None:
-        """Trace to ``node_id`` from the most recent traced exploration.
+    def rebuild_trace(self, state: SymbolicState) -> list[str] | None:
+        """Transition labels from the initial state to ``state``.
 
-        ``node_id`` is ``(state.key(), state.zone.frozen())`` of a
-        state stored during the last :meth:`explore` call with tracing
-        on; used by the query planner to extract one witness trace per
-        observer from a single shared sweep.
+        ``state`` is one stored during an :meth:`explore` call with
+        tracing on; the labels are read off the chain of trace links
+        (:attr:`SymbolicState.link`).  The query planner uses this to
+        extract one witness trace per observer from a single shared
+        sweep.  ``None`` when the explorer does not trace.
         """
-        return self._rebuild(self.parents, node_id)
-
-    def _rebuild(self, parents: dict, node_id: _NodeId) \
-            -> list[str] | None:
         if not self.trace_enabled:
             return None
         labels: list[str] = []
-        current: _NodeId | None = node_id
-        while current is not None:
-            parent, label = parents[current]
+        link = state.link
+        while link is not None:
+            state, label = link
             labels.append(label)
-            current = parent
+            link = state.link
         labels.reverse()
-        return labels[1:]  # drop the "<init>" marker
+        return labels
 
     # ------------------------------------------------------------------
     def iter_states(self) -> Iterator[SymbolicState]:

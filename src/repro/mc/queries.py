@@ -235,6 +235,8 @@ class _HitObserver:
     def __init__(self, predicate, trace_on: bool):
         self.predicate = predicate
         self.state = None
+        #: The hit state when tracing (its trace links lead back to
+        #: the initial state), else ``None``.
         self.node = None
         self._trace = trace_on
 
@@ -244,7 +246,7 @@ class _HitObserver:
             return False
         self.state = state
         if self._trace:
-            self.node = (state.key(), state.zone.frozen())
+            self.node = state
         return True
 
 

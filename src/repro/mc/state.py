@@ -134,18 +134,23 @@ class SymbolicState:
     """Triple (locations, valuation, zone); key = discrete part.
 
     The discrete key and its hash are memoized: the explorer consults
-    them repeatedly (passed-bucket lookup, waiting-list dedup, shard
-    assignment, trace-node construction), and before the memo every
-    call re-allocated the pair tuple and re-hashed it.
+    them repeatedly (passed-bucket lookup, waiting-list dedup), and
+    before the memo every call re-allocated the pair tuple and
+    re-hashed it.
+
+    ``link`` is the trace link a tracing explorer records on every
+    stored successor: ``(parent_state, transition_label)``, ``None``
+    on the initial state and whenever tracing is off.
     """
 
-    __slots__ = ("locs", "vals", "zone", "_key", "_key_hash")
+    __slots__ = ("locs", "vals", "zone", "link", "_key", "_key_hash")
 
     def __init__(self, locs: tuple[int, ...], vals: tuple[int, ...],
                  zone: DBM):
         self.locs = locs
         self.vals = vals
         self.zone = zone
+        self.link: tuple[SymbolicState, str] | None = None
         self._key = None
         self._key_hash = None
 

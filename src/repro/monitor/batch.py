@@ -393,11 +393,11 @@ class BatchMonitor:
             return None, alive
         if dead:
             return work, alive
-        for op in plan.zone_ops:
-            if op[0] == "reset":
-                expander.reset(work, op[1], op[2])
+        for kind, x, y in plan.zone_ops:
+            if kind == 0:  # reset
+                expander.reset(work, x, y)
             else:  # copy
-                expander.assign_clock(work, op[1], op[2])
+                expander.assign_clock(work, x, y)
         expander.reset(work, mon, 0)
         if plan.free_clocks:
             expander.free_many(work, plan.free_clocks)

@@ -17,8 +17,9 @@ subset construction of arXiv:1303.1010):
    closure states are handed to :mod:`repro.monitor.report` to compute
    when the event *would* have been admissible.
 
-The plan pipeline below replays :meth:`ZoneGraphExplorer.successors`
-op-for-op (same order, same kernels), so monitor zones are
+The plan pipeline below replays the explorer's successor step
+(:meth:`repro.zones.common.ZoneMatrix.apply_plan`) op-for-op (same
+order, same kernels), so monitor zones are
 bit-compatible with exploration zones — and with the vectorized
 stepper in :mod:`repro.monitor.batch`, which runs the same sequence
 through :class:`repro.zones.batch.BatchExpander`.
@@ -189,7 +190,7 @@ class MonitorSession:
         return frontier
 
     # ------------------------------------------------------------------
-    # Plan pipelines (op-identical to ZoneGraphExplorer.successors)
+    # Plan pipelines (op-identical to ZoneMatrix.apply_plan)
     # ------------------------------------------------------------------
     def _scratch_from(self, src):
         scratch = self._scratch
@@ -223,11 +224,11 @@ class MonitorSession:
             ) from plan.error
 
     def _finish_plan(self, scratch, plan, *, mon_reset: bool):
-        for op in plan.zone_ops:
-            if op[0] == "reset":
-                scratch.reset(op[1], op[2])
+        for kind, x, y in plan.zone_ops:
+            if kind == 0:  # reset
+                scratch.reset(x, y)
             else:  # copy
-                scratch.assign_clock(op[1], op[2])
+                scratch.assign_clock(x, y)
         if mon_reset:
             scratch.reset(self.model.mon_idx, 0)
         if plan.free_clocks:

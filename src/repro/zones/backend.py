@@ -26,9 +26,9 @@ Selection order for :func:`resolve_backend`:
 4. ``auto``: the cheapest available backend for the workload at hand.
 
 ``auto`` is hint-aware: callers that know the compiled network (the
-explorers) pass a :class:`~repro.zones.costmodel.BackendHint` with the
-clock count, structural model size and expected wave width, and the
-committed microbenchmark cost table in :mod:`repro.zones.costmodel`
+explorer) pass a :class:`~repro.zones.costmodel.BackendHint` with the
+clock count and structural model size, and the committed
+microbenchmark cost table in :mod:`repro.zones.costmodel`
 picks the backend.  Without a hint the preference is static
 (native > numpy > reference).
 

@@ -302,11 +302,11 @@ class BatchExpander:
                 return work, alive
         if plan.error is not None:
             return None, alive
-        for op in plan.zone_ops:
-            if op[0] == "reset":
-                self.reset(work, op[1], op[2])
+        for kind, x, y in plan.zone_ops:
+            if kind == 0:  # reset
+                self.reset(work, x, y)
             else:  # copy
-                self.assign_clock(work, op[1], op[2])
+                self.assign_clock(work, x, y)
         if plan.free_clocks:
             self.free_many(work, plan.free_clocks)
         for i, j, bound in plan.invariant_ops:

@@ -1,7 +1,8 @@
 """Shared zone-matrix interface and backend-independent helpers.
 
-Every zone backend (the portable list-based :class:`~repro.zones.dbm.DBM`
-and the vectorized :class:`~repro.zones.dbm_numpy.NumpyDBM`) subclasses
+Every zone backend (the portable list-based :class:`~repro.zones.dbm.DBM`,
+the vectorized :class:`~repro.zones.dbm_numpy.NumpyDBM` and the compiled
+:class:`~repro.zones.dbm_native.NativeDBM`) subclasses
 :class:`ZoneMatrix`.  The subclasses implement the numeric kernel —
 closure, constraining, resets, extrapolation — natively for their
 storage layout; everything that is either debug-oriented or naturally
@@ -32,6 +33,11 @@ Backend contract (beyond the methods defined here):
 ``includes/intersects``         zone comparisons
 ``extrapolate_max`` Extra_M abstraction
 ``frozen()``        cached immutable snapshot (tuple of Python ints)
+
+:meth:`ZoneMatrix.apply_plan` — the explorer's whole successor step —
+is written here once in terms of those operations; a backend may
+override it with a fused kernel that yields the same survivors bit
+for bit.
 """
 
 from __future__ import annotations
@@ -96,6 +102,50 @@ class ZoneMatrix:
         for x in clocks:
             self.free(x)
         return self
+
+    def apply_plan(self, plan, max_consts: Sequence[int],
+                   scratch: "ZoneMatrix") -> "ZoneMatrix | None":
+        """Successor zone of this (non-empty) zone under one move plan.
+
+        Replays the explorer's plan step: guards → resets/copies →
+        frees → invariants → delay (re-applying the invariants) →
+        Extra_M or Extra⁺_LU extrapolation, stopping as soon as the
+        zone turns empty.  ``plan`` carries ``guard_ops``,
+        ``zone_ops`` (``(0, x, value)`` reset, ``(1, x, y)`` copy),
+        ``free_clocks``, ``invariant_ops``, ``delay``, ``lu`` and
+        ``error``; ``max_consts`` are the Extra_M ceilings, used when
+        ``plan.lu`` is ``None``.
+
+        Returns a fresh zone, or ``None`` when the successor is empty.
+        A plan with a deferred ``error`` raises it exactly when the
+        guard-constrained zone is non-empty.  ``scratch`` is a
+        same-size zone of this backend, overwritten as the work
+        matrix; only survivors are copied out of it.
+        """
+        scratch.copy_from(self)
+        if not scratch.constrain_all(plan.guard_ops):
+            return None
+        if plan.error is not None:
+            raise plan.error
+        for kind, x, y in plan.zone_ops:
+            if kind == 0:
+                scratch.reset(x, y)
+            else:
+                scratch.assign_clock(x, y)
+        if plan.free_clocks:
+            scratch.free_many(plan.free_clocks)
+        if not scratch.constrain_all(plan.invariant_ops):
+            return None
+        if plan.delay:
+            scratch.up()
+            scratch.constrain_all(plan.invariant_ops)
+        if plan.lu is not None:
+            scratch.extrapolate_lu(plan.lu[0], plan.lu[1])
+        else:
+            scratch.extrapolate_max(max_consts)
+        if scratch.is_empty():
+            return None
+        return scratch.copy()
 
     # -- shared concrete queries ----------------------------------------
     def upper_bound(self, x: int) -> int:

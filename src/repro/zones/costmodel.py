@@ -6,16 +6,15 @@ throughput in opposite directions:
 * ``reference`` — pure-python loops: zero dispatch overhead, cost
   grows as ``n^3`` with the clock count (Floyd-Warshall closure).
 * ``numpy`` — one ufunc cascade per kernel: high fixed dispatch cost
-  (~µs per op regardless of size), near-flat growth, and batched wave
-  kernels that amortize the dispatch over the wave width.
+  (~µs per op regardless of size), near-flat growth.
 * ``native`` — compiled C loops on the numpy storage: reference-shaped
   cost curves with the constant factor removed; fastest at every size
-  measured so far, scalar and batched alike.
+  measured so far.
 
 ``choose_backend`` turns a :class:`BackendHint` (clock count,
-structural model size, expected wave width) plus the committed per-op
-cost table below into a concrete backend name.  The table is *data*,
-not tuning folklore: it is regenerated by the kernel microbenchmark
+structural model size) plus the committed per-op cost table below into
+a concrete backend name.  The table is *data*, not tuning folklore: it
+is regenerated by the kernel microbenchmark
 (``python benchmarks/run_benchmarks.py --kernels``, which writes
 ``benchmarks/KERNEL_COSTS_<date>.json``) and the digested medians are
 committed here.  The selection only needs the *ordering* of the
@@ -24,9 +23,8 @@ hardware variance; the ``auto``-within-5%-of-best benchmark gate
 (``run_benchmarks.py --check``) is the end-to-end guard.
 
 The structural-size escape hatch: on tiny models (the unit-test
-grids) waves are a handful of states wide, so the numpy backend's
-dispatch cost is never amortized and the reference backend must win
-by default.
+grids) the numpy backend's dispatch cost is never amortized, so the
+reference backend must win by default.
 """
 
 from __future__ import annotations
@@ -44,15 +42,10 @@ class BackendHint(NamedTuple):
     structural_size:
         ``sum(len(a.locations) + len(a.edges))`` over the network's
         automata.
-    wave_width:
-        Expected batch width per wave kernel call: ``1`` for the
-        scalar (sequential) explorer, the estimated states-per-wave
-        for the sharded explorer's batched pipeline.
     """
 
     n_clocks: int
     structural_size: int
-    wave_width: int = 1
 
 
 #: Structural size below which ``auto`` never picks numpy (dispatch
@@ -96,24 +89,6 @@ _SCALAR_NS = {
     },
 }
 
-#: Median ns *per element* for one full batched successor plan
-#: (guards → resets → invariants → delay → extrapolate → close), per
-#: backend per clock count per batch width, same provenance as above.
-#: The reference backend has no batched pipeline; its per-element cost
-#: is modeled from the scalar table.
-_BATCH_NS = {
-    "numpy": {
-        3: {1: 97590, 4: 25620, 16: 7590, 64: 2170},
-        6: {1: 149910, 4: 40640, 16: 11710, 64: 4720},
-        12: {1: 191780, 4: 61710, 16: 27220, 64: 16420},
-    },
-    "native": {
-        3: {1: 2850, 4: 750, 16: 340, 64: 90},
-        6: {1: 3280, 4: 1050, 16: 520, 64: 340},
-        12: {1: 5110, 4: 4230, 16: 2240, 64: 1940},
-    },
-}
-
 #: Kernel calls per expanded state in the sequential explorer, rounded
 #: from plan structure: each successor applies guard constraints, a
 #: couple of updates, the invariant, delay, extrapolation and one
@@ -122,7 +97,7 @@ _OP_MIX = {"close": 1.0, "constrain": 4.0, "up": 1.0,
            "reset": 1.5, "includes": 4.0, "extrapolate": 1.0}
 
 
-def _interp_clocks(table: dict, n_clocks: int) -> dict | float:
+def _interp_clocks(table: dict, n_clocks: int) -> dict:
     """Linear interpolation of a per-clock-count table row."""
     grid = sorted(table)
     if n_clocks <= grid[0]:
@@ -134,34 +109,15 @@ def _interp_clocks(table: dict, n_clocks: int) -> dict | float:
             break
     frac = (n_clocks - lo) / (hi - lo)
     lo_row, hi_row = table[lo], table[hi]
-    if isinstance(lo_row, dict):
-        return {key: lo_row[key] + frac * (hi_row[key] - lo_row[key])
-                for key in lo_row}
-    return lo_row + frac * (hi_row - lo_row)
-
-
-def _scalar_cost(backend: str, n_clocks: int) -> float:
-    """Estimated kernel ns per expanded state, scalar pipeline."""
-    row = _interp_clocks(_SCALAR_NS[backend], n_clocks)
-    return sum(row[op] * weight for op, weight in _OP_MIX.items())
-
-
-def _batch_cost(backend: str, n_clocks: int, width: int) -> float:
-    """Estimated kernel ns per successor element, batched pipeline."""
-    if backend == "reference":
-        return _scalar_cost("reference", n_clocks)
-    per_clock = _BATCH_NS[backend]
-    widths = {w: _interp_clocks({c: per_clock[c][w] for c in per_clock},
-                                n_clocks)
-              for w in next(iter(per_clock.values()))}
-    return _interp_clocks(widths, max(1, width))
+    return {key: lo_row[key] + frac * (hi_row[key] - lo_row[key])
+            for key in lo_row}
 
 
 def estimate_cost(backend: str, hint: BackendHint) -> float:
-    """Model cost (ns per state) of running ``hint`` on ``backend``."""
-    if hint.wave_width > 1:
-        return _batch_cost(backend, hint.n_clocks, hint.wave_width)
-    return _scalar_cost(backend, hint.n_clocks)
+    """Model cost (kernel ns per expanded state) of running ``hint``
+    on ``backend``."""
+    row = _interp_clocks(_SCALAR_NS[backend], hint.n_clocks)
+    return sum(row[op] * weight for op, weight in _OP_MIX.items())
 
 
 def choose_backend(candidates: Sequence[str],
@@ -180,8 +136,8 @@ def choose_backend(candidates: Sequence[str],
         return candidates[0]
     if ("numpy" in candidates and "native" not in candidates
             and hint.structural_size <= _TINY_STRUCTURAL):
-        # Tiny-model guard (see module docstring): waves too narrow to
-        # amortize numpy dispatch, so the cost table's batched numbers
-        # do not apply — fall back to the overhead-free loops.
+        # Tiny-model guard (see module docstring): too little work to
+        # amortize numpy dispatch — fall back to the overhead-free
+        # loops.
         return "reference"
     return min(candidates, key=lambda b: estimate_cost(b, hint))

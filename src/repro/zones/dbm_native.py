@@ -6,10 +6,11 @@ so the passed-list buckets (:mod:`repro.zones.store`), the intern
 table and the monitor's ``np.stack`` batches all work unchanged — but
 every hot kernel (closure, constrain, resets, inclusion,
 extrapolation) is one call into the compiled ``repro.zones._dbmkernel``
-module instead of a cascade of numpy ufunc dispatches.  On the small
-matrices this framework produces (< 16 clocks) per-call dispatch
-overhead dominates arithmetic, which is why the compiled scalar loops
-beat the vectorized kernels at every size.
+module instead of a cascade of numpy ufunc dispatches, and so is the
+explorer's whole successor step (:meth:`NativeDBM.apply_plan`).  On
+the small matrices this framework produces (< 16 clocks) per-call
+dispatch overhead dominates arithmetic, which is why the compiled
+scalar loops beat the vectorized kernels at every size.
 
 Bit-identity: the C kernels replicate the reference backend's loops
 statement for statement (see ``_dbmkernel.c``); the differential
@@ -152,6 +153,31 @@ class NativeDBM(NumpyDBM):
                      clocks if type(clocks) is tuple else tuple(clocks))
         return self
 
+    def apply_plan(self, plan, max_consts,
+                   scratch=None) -> "NativeDBM | None":
+        """The base-class plan step as one ``_dbmkernel.run_plan`` call.
+
+        Runs on a private copy of this matrix (a batch of one), so
+        ``scratch`` is not needed; survivors are bit-identical to the
+        op-by-op replay of :meth:`ZoneMatrix.apply_plan`.
+        """
+        m = self._m.copy()
+        alive = bytearray(b"\x01")
+        error = plan.error
+        _k.run_plan(m, alive, 1, self.size, plan.guard_ops,
+                    error is not None, plan.zone_ops, plan.free_clocks,
+                    plan.invariant_ops, plan.delay, max_consts, plan.lu)
+        if not alive[0]:
+            return None
+        if error is not None:
+            raise error
+        zone = NativeDBM.__new__(NativeDBM)
+        zone.size = self.size
+        zone._m = m
+        zone._empty = False
+        zone._frozen = None
+        return zone
+
     # ------------------------------------------------------------------
     # Comparisons
     # ------------------------------------------------------------------
@@ -195,25 +221,11 @@ class NativeBatchExpander:
     ``_dbmkernel.run_plan`` with early exit on emptiness.
     """
 
-    __slots__ = ("n", "max_consts", "_zone_ops_cache")
+    __slots__ = ("n", "max_consts")
 
     def __init__(self, n_clocks: int, max_consts):
         self.n = n_clocks
         self.max_consts = tuple(max_consts)
-        # plan.zone_ops tuples are ("reset", x, value) / ("copy", x, y);
-        # the C side wants integer kinds.  Memoized per distinct tuple
-        # (plans are memoized per edge, so this stays tiny).
-        self._zone_ops_cache: dict[tuple, tuple] = {}
-
-    def _translate_zone_ops(self, zone_ops: tuple) -> tuple:
-        out = self._zone_ops_cache.get(zone_ops)
-        if out is None:
-            out = tuple(
-                (0, op[1], op[2]) if op[0] == "reset"
-                else (1, op[1], op[2])
-                for op in zone_ops)
-            self._zone_ops_cache[zone_ops] = out
-        return out
 
     def run_plan(self, src_stack: np.ndarray, plan):
         work = np.ascontiguousarray(src_stack)
@@ -222,8 +234,7 @@ class NativeBatchExpander:
         batch = work.shape[0]
         alive = np.ones(batch, dtype=bool)
         _k.run_plan(work, alive, batch, self.n, plan.guard_ops,
-                    plan.error is not None,
-                    self._translate_zone_ops(plan.zone_ops),
+                    plan.error is not None, plan.zone_ops,
                     plan.free_clocks, plan.invariant_ops,
                     bool(plan.delay), self.max_consts, plan.lu)
         if plan.error is not None:

@@ -144,5 +144,6 @@ def test_deferred_range_error_still_raised(backend):
     a.location("L", initial=True)
     a.loop("L", update="v = v + 1")
     network = net.build()
-    with pytest.raises(ModelError, match="outside"):
+    with pytest.raises(ModelError, match="outside") as info:
         ZoneGraphExplorer(network, zone_backend=backend).explore()
+    assert "while firing" in str(info.value)

@@ -255,10 +255,10 @@ def _random_plan(rng, n, max_const):
     zone_ops = []
     for _ in range(rng.randint(0, 2)):
         if rng.random() < 0.7:
-            zone_ops.append(("reset", rng.randint(1, n - 1),
+            zone_ops.append((0, rng.randint(1, n - 1),
                              rng.randint(0, max_const)))
         else:
-            zone_ops.append(("copy", rng.randint(1, n - 1),
+            zone_ops.append((1, rng.randint(1, n - 1),
                              rng.randint(1, n - 1)))
     lu = None
     if rng.random() < 0.5:
@@ -459,10 +459,8 @@ def test_auto_hints_pick_cheap_backend_for_tiny_models(monkeypatch):
     tiny = transform(build_tiny_pim(), build_tiny_scheme()).network
     structural = sum(len(a.locations) + len(a.edges)
                      for a in tiny.automata)
-    tiny_hint = BackendHint(n_clocks=7, structural_size=structural,
-                            wave_width=1)
-    case_hint = BackendHint(n_clocks=11, structural_size=80,
-                            wave_width=1)
+    tiny_hint = BackendHint(n_clocks=7, structural_size=structural)
+    case_hint = BackendHint(n_clocks=11, structural_size=80)
     # Pure cost-model level, native absent:
     assert choose_backend(("reference", "numpy"), tiny_hint) == \
         "reference"
