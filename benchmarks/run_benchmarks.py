@@ -12,12 +12,8 @@ comparable perf record; the pytest-benchmark suite
 Usage::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py [--quick]
-        [--out DIR] [--backends numpy reference native auto]
+        [--out DIR] [--backends reference native]
         [--jobs 1 4] [--summary FILE|-]
-
-    # Per-op kernel microbenchmarks (the data behind the `auto`
-    # backend's cost table in repro/zones/costmodel.py)
-    PYTHONPATH=src python benchmarks/run_benchmarks.py --kernels
 
     # CI regression gate: re-run the headline workloads and fail on a
     # >25% slowdown of bench_s1_case_study_psm vs a committed record
@@ -116,10 +112,9 @@ def _timed(fn):
 
 def _timed_best(fn, repeats: int = 3):
     """Best-of-N wall time for the small (sub-second to few-second)
-    cells: single shots on a shared box jitter by ±30%, far beyond
-    the 5% ``auto`` margin the committed record must support.  The
-    long 16-scheme sweeps stay single-shot — they have no ``auto``
-    twin and self-average over minutes of work."""
+    cells: single shots on a shared box jitter by ±30%.  The long
+    16-scheme sweeps stay single-shot — they self-average over
+    minutes of work."""
     value, best = _timed(fn)
     for _ in range(repeats - 1):
         value, seconds = _timed(fn)
@@ -184,20 +179,19 @@ def _paper_query_batch():
 def run_suite(backends, quick: bool, jobs_list) -> list[dict]:
     """Measure every requested backend over the committed workloads.
 
-    The small cells interleave the backends (benchmark-outer order):
-    the ``auto`` margin gate compares an ``auto`` row against the
-    best fixed-backend row of the *same* cell, so the pair must be
-    measured seconds apart — a shared box drifts by tens of percent
-    over a backend-outer run (the 16-scheme sweeps alone take ~20
-    minutes), which would read as ``auto`` overhead. The long sweeps
-    have no ``auto`` twin and stay grouped per backend at the end.
+    The small cells interleave the backends (benchmark-outer order),
+    so the rows of one cell are measured seconds apart — a shared box
+    drifts by tens of percent over a backend-outer run (the 16-scheme
+    sweeps alone take ~20 minutes).  The long sweeps stay grouped per
+    backend at the end.
     """
     results: list[dict] = []
     tiny = transform(build_tiny_pim(), build_tiny_scheme()).network
     case_study = None if quick else _case_study_network()
-    # Backends with batched kernels (and the 16-scheme sweep rows);
-    # `auto` rides only the cells every backend runs.
-    batched = [b for b in backends if b in ("numpy", "native")]
+    # The native backend also carries the heavy cells (Extra+_LU
+    # headline, query batch, 16-scheme sweeps, batched monitor); the
+    # reference backend would take minutes on them.
+    heavy = [b for b in backends if b == "native"]
 
     for backend in backends:
         stats, seconds = _timed_best(
@@ -228,7 +222,7 @@ def run_suite(backends, quick: bool, jobs_list) -> list[dict]:
 
         # The Extra+_LU variant of the headline: same reachable
         # behavior, coarser abstraction, smaller zone graph.
-        for backend in batched:
+        for backend in heavy:
             (lu_stats, memory), seconds = _timed_best(
                 lambda: _stats_with_memory(
                     case_study, backend=backend,
@@ -257,7 +251,7 @@ def run_suite(backends, quick: bool, jobs_list) -> list[dict]:
                     verdict.visited, verdict.transitions, seconds,
                     holds=verdict.holds)
 
-        for backend in batched:
+        for backend in heavy:
             outcome, seconds = _timed_best(lambda: check_many(
                 case_study, _paper_query_batch(),
                 zone_backend=backend))
@@ -272,7 +266,7 @@ def run_suite(backends, quick: bool, jobs_list) -> list[dict]:
         # The 16-scheme sweeps run on the largest worker-process count.
         batch_jobs = jobs_list[-1] if jobs_list else None
 
-        for backend in batched:
+        for backend in heavy:
             _bench_portfolio(results, backend, batch_jobs)
             _bench_portfolio(results, backend, batch_jobs,
                              abstraction="extra_lu")
@@ -283,14 +277,13 @@ def run_suite(backends, quick: bool, jobs_list) -> list[dict]:
                              abstraction="extra_lu", reuse=True)
 
     if case_study is not None:
-        _bench_monitor_throughput(results, batched)
+        _bench_monitor_throughput(results, heavy)
 
     if case_study is not None:
         # The fault-axis sweep's wall time is dominated by its k=1
         # duplex corner (minutes of retry interleavings even under
         # Extra+_LU), so a single backend carries the cell.
-        fault_backend = "native" if "native" in batched else \
-            (batched[0] if batched else backends[0])
+        fault_backend = heavy[0] if heavy else backends[0]
         _bench_portfolio_fault_grid(results, fault_backend,
                                     batch_jobs, quick=False)
     return results
@@ -367,10 +360,10 @@ def _bench_portfolio_tiny(results, backends, jobs_list):
     """Job-level scaling grid on the tiny PSM (the CI scaling job).
 
     Sweeps ``TINY_SCALING_GRID`` once per (jobs, backend) cell —
-    backends innermost, so each cell's `auto` row is measured
-    back-to-back with its fixed twins — and asserts every cell's rows
-    are bit-identical to the first: the scaling table is only
-    meaningful if every configuration does the same verified work.
+    backends innermost, so each cell's rows are measured back to back
+    — and asserts every cell's rows are bit-identical to the first:
+    the scaling table is only meaningful if every configuration does
+    the same verified work.
     """
     pim = build_tiny_pim()
     schemes = TINY_SCALING_GRID.build()
@@ -517,221 +510,6 @@ def _bench_portfolio_fault_grid(results, backend, jobs, quick):
 
 
 # ----------------------------------------------------------------------
-# auto-vs-best margin (the `auto` acceptance gate's data)
-# ----------------------------------------------------------------------
-#: Allowed slowdown of an `auto` row vs the best fixed-backend row of
-#: the same benchmark cell in a committed record.
-AUTO_MARGIN = 1.05
-
-#: Cells whose best fixed-backend time sits below this are in the
-#: timer-noise regime (a 5% margin on a 5ms wall is sub-millisecond)
-#: and are excluded from the margin gate.
-AUTO_MARGIN_FLOOR_S = 0.05
-
-
-def auto_margins(results: list[dict]) -> list[tuple[str, float, str,
-                                                    float, float]]:
-    """Per-cell ``(label, auto_s, best_backend, best_s, ratio)``.
-
-    A cell is a ``(benchmark, jobs, executor)`` combination (records
-    written before the portfolio had one execution model carry an
-    ``executor`` column); `auto` rows without a fixed-backend twin (or
-    vice versa) are skipped, as are cells faster than
-    ``AUTO_MARGIN_FLOOR_S``.
-    """
-    def cell(entry):
-        return (entry["benchmark"], entry.get("jobs"),
-                entry.get("executor"))
-
-    fixed: dict[tuple, tuple[float, str]] = {}
-    for entry in results:
-        if entry["backend"] == "auto":
-            continue
-        key = cell(entry)
-        best = fixed.get(key)
-        if best is None or entry["seconds"] < best[0]:
-            fixed[key] = (entry["seconds"], entry["backend"])
-    margins = []
-    for entry in results:
-        if entry["backend"] != "auto":
-            continue
-        best = fixed.get(cell(entry))
-        if best is None or best[0] < AUTO_MARGIN_FLOOR_S:
-            continue
-        label = entry["benchmark"]
-        if entry.get("jobs"):
-            label += f":j{entry['jobs']}"
-        if entry.get("executor"):
-            label += f":{entry['executor'][:4]}"
-        margins.append((label, entry["seconds"], best[1], best[0],
-                        entry["seconds"] / best[0]))
-    return margins
-
-
-def print_auto_margins(results: list[dict]) -> None:
-    margins = auto_margins(results)
-    if not margins:
-        return
-    print("auto vs best fixed backend per cell "
-          f"(target <= {AUTO_MARGIN:.2f}x):")
-    for label, auto_s, best_backend, best_s, ratio in margins:
-        flag = "" if ratio <= AUTO_MARGIN else "  <-- over margin"
-        print(f"  {label:40s} auto {auto_s:7.3f}s vs "
-              f"{best_backend:9s} {best_s:7.3f}s  x{ratio:4.2f}{flag}")
-
-
-# ----------------------------------------------------------------------
-# Kernel microbenchmarks (--kernels)
-# ----------------------------------------------------------------------
-#: Clock counts and batch widths the cost table is sampled at (must
-#: match repro/zones/costmodel.py's grids).
-KERNEL_CLOCKS = (3, 6, 12)
-KERNEL_WIDTHS = (1, 4, 16, 64)
-
-
-def _median_ns(fn, *, number: int, repeat: int = 5) -> float:
-    """Median ns/call of ``fn`` over ``repeat`` loops of ``number``."""
-    samples = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        for _ in range(number):
-            fn()
-        samples.append((time.perf_counter() - start) / number)
-    samples.sort()
-    return samples[len(samples) // 2] * 1e9
-
-
-def _kernel_zone(dbm_cls, n):
-    """A closed, non-empty, mildly constrained zone of dimension n."""
-    from repro.zones.bounds import encode
-
-    zone = dbm_cls.zero(n).up()
-    for clock in range(1, n):
-        zone.constrain(clock, 0, encode(20 + clock, True))
-    zone.close()
-    assert not zone.is_empty()
-    return zone
-
-
-def _scalar_kernel_row(dbm_cls, n) -> dict:
-    """ns/call for each scalar kernel at dimension ``n``.
-
-    ``close``/``up``/``reset``/``extrapolate`` are measured on a
-    stable matrix (re-running them is idempotent, so each call does
-    the full kernel's work without per-call setup); ``constrain`` is
-    measured as copy+tighten minus the measured copy cost so the
-    re-closure path is included.
-    """
-    from repro.zones.bounds import encode
-
-    zone = _kernel_zone(dbm_cls, n)
-    other = _kernel_zone(dbm_cls, n)
-    maxes = [0] + [10] * (n - 1)
-    tight = encode(5, True)
-    number = max(200, 20000 // (n * n))
-    row = {
-        "close": _median_ns(zone.close, number=number),
-        "up": _median_ns(zone.up, number=number),
-        "reset": _median_ns(lambda: zone.reset(1, 3), number=number),
-        "includes": _median_ns(lambda: zone.includes(other),
-                               number=number),
-        "extrapolate": _median_ns(lambda: zone.extrapolate_max(maxes),
-                                  number=number),
-    }
-    copy_ns = _median_ns(zone.copy, number=number)
-    tighten_ns = _median_ns(lambda: zone.copy().constrain(1, 0, tight),
-                            number=number)
-    row["constrain"] = max(tighten_ns - copy_ns, 1.0)
-    return row
-
-
-def _batched_kernel_row(expander_cls, dbm_cls, n, width) -> float:
-    """ns/element for one full successor plan at batch ``width``."""
-    import numpy
-    from types import SimpleNamespace
-
-    from repro.zones.bounds import encode
-
-    zone = _kernel_zone(dbm_cls, n)
-    src = numpy.stack([zone._m] * width)
-    plan = SimpleNamespace(
-        guard_ops=((1, 0, encode(15, True)),) if n > 1 else (),
-        error=None,
-        zone_ops=((0, 1, 0),) if n > 1 else (),
-        free_clocks=(),
-        invariant_ops=((0, 1, encode(0, True)),) if n > 1 else (),
-        delay=True,
-        lu=None)
-    expander = expander_cls(n, tuple([0] + [10] * (n - 1)))
-    number = max(20, 2000 // width)
-    per_call = _median_ns(lambda: expander.run_plan(src, plan),
-                          number=number)
-    return per_call / width
-
-
-def run_kernels(out_dir: Path) -> int:
-    """Measure the per-op cost table behind `auto` backend selection.
-
-    Writes ``benchmarks/KERNEL_COSTS_<date>.json``; the digested
-    medians are committed into ``repro/zones/costmodel.py`` (only the
-    *ordering* of backends per region matters there, so re-running on
-    different hardware rarely changes the selection).
-    """
-    from repro.zones.backend import resolve_backend
-
-    backends = available_backends()
-    scalar: dict = {}
-    for backend in backends:
-        dbm_cls = resolve_backend(backend).dbm
-        scalar[backend] = {}
-        for n in KERNEL_CLOCKS:
-            row = _scalar_kernel_row(dbm_cls, n)
-            scalar[backend][n] = {op: round(ns, 1)
-                                  for op, ns in row.items()}
-            ops = "  ".join(f"{op}={ns:9.0f}"
-                            for op, ns in scalar[backend][n].items())
-            print(f"  scalar  [{backend:9s}] n={n:<3d} {ops}")
-
-    batched: dict = {}
-    for backend in backends:
-        if backend == "reference":
-            continue  # no batched pipeline
-        if backend == "native":
-            from repro.zones.dbm_native import NativeBatchExpander
-            expander_cls = NativeBatchExpander
-        else:
-            from repro.zones.batch import BatchExpander
-            expander_cls = BatchExpander
-        dbm_cls = resolve_backend(backend).dbm
-        batched[backend] = {}
-        for n in KERNEL_CLOCKS:
-            batched[backend][n] = {}
-            for width in KERNEL_WIDTHS:
-                ns = _batched_kernel_row(expander_cls, dbm_cls, n,
-                                         width)
-                batched[backend][n][width] = round(ns, 1)
-            cells = "  ".join(f"B{w}={ns:9.0f}"
-                              for w, ns in batched[backend][n].items())
-            print(f"  batched [{backend:9s}] n={n:<3d} {cells}")
-
-    payload = {
-        "schema": 1,
-        "generated": _dt.date.today().isoformat(),
-        "python": platform.python_version(),
-        "unit": "ns per call (scalar) / ns per element (batched)",
-        "scalar": scalar,
-        "batched": batched,
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = (out_dir / "benchmarks" if (out_dir / "benchmarks").
-                is_dir() else out_dir) / (
-        f"KERNEL_COSTS_{_dt.date.today().isoformat()}.json")
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out_path}")
-    return 0
-
-
-# ----------------------------------------------------------------------
 # Scaling summary (--summary)
 # ----------------------------------------------------------------------
 def render_scaling_summary(results: list[dict]) -> str:
@@ -860,8 +638,7 @@ def run_check(baseline_path: Path, repeats: int = 3,
     target_name = "s1_zone_graph_tiny" if quick else HEADLINE
     targets = [entry for entry in baseline["results"]
                if entry["benchmark"] == target_name
-               and entry["backend"] in available_backends()
-               and (quick or entry["backend"] in ("numpy", "native"))]
+               and entry["backend"] in available_backends()]
     if not targets:
         print(f"error: {baseline_path} has no "
               f"{target_name!r} rows to check against", file=sys.stderr)
@@ -982,20 +759,6 @@ def run_check(baseline_path: Path, repeats: int = 3,
         # reuse on and off, and the memo must actually fire.
         failures += _check_memo_parity()
 
-    # `auto` margin gate, on the committed record itself (no re-run,
-    # so it is deterministic): every `auto` row must sit within
-    # AUTO_MARGIN of the best fixed-backend row of its cell.
-    for label, auto_s, best_backend, best_s, ratio in \
-            auto_margins(baseline["results"]):
-        status = "ok" if ratio <= AUTO_MARGIN else "FAIL"
-        print(f"  auto margin {label:28s} x{ratio:4.2f} vs "
-              f"{best_backend}  {status}")
-        if ratio > AUTO_MARGIN:
-            failures.append(
-                f"auto margin: {label} recorded {auto_s:.3f}s is "
-                f"{ratio:.2f}x the best fixed backend "
-                f"({best_backend} {best_s:.3f}s; "
-                f"tolerance {AUTO_MARGIN}x)")
     if failures:
         print("\nperf regression gate FAILED:", file=sys.stderr)
         for failure in failures:
@@ -1028,27 +791,14 @@ def main(argv: list[str] | None = None) -> int:
                              "headline workloads and fail on a >25%% "
                              "slowdown vs this record (with --quick: "
                              "tiny workload, bit-identity gate only)")
-    parser.add_argument("--kernels", action="store_true",
-                        help="run the per-op kernel microbenchmarks "
-                             "(close/constrain/includes/extrapolate at "
-                             f"{'/'.join(map(str, KERNEL_CLOCKS))} "
-                             "clocks x batch widths "
-                             f"{'/'.join(map(str, KERNEL_WIDTHS))}) "
-                             "and write KERNEL_COSTS_<date>.json — "
-                             "the data behind the auto cost table")
     args = parser.parse_args(argv)
 
     if args.check is not None:
         return run_check(args.check, quick=args.quick)
-    if args.kernels:
-        return run_kernels(args.out)
 
-    # `auto` rides along as a pseudo-backend so every committed record
-    # carries the data for its within-5%-of-best margin gate.
-    backends = args.backends or [*available_backends(), "auto"]
+    backends = args.backends or list(available_backends())
     print(f"zone backends: {', '.join(backends)}")
     results = run_suite(backends, quick=args.quick, jobs_list=args.jobs)
-    print_auto_margins(results)
 
     try:
         import numpy

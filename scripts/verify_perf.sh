@@ -17,10 +17,11 @@
 #
 #   --timings  ADVISORY timed gate (also the default with no args):
 #              re-runs the headline zone-graph benchmark
-#              (bench_s1_case_study_psm on the numpy/native backends,
-#              best of 3) plus monitor throughput, and fails when a
-#              row is >25% slower than the committed record — or when
-#              states/transitions stop being bit-identical.  Rows an
+#              (bench_s1_case_study_psm on the reference and native
+#              backends, best of 3) plus native monitor throughput,
+#              and fails when a row is >25% slower than the committed
+#              record — or when states/transitions stop being
+#              bit-identical.  Rows an
 #              older record timed on the removed sharded engine (a
 #              ``jobs`` column) are checked for states/transitions
 #              only.

@@ -6,18 +6,19 @@ Core install is dependency-free.  Extras:
   (``tests/test_properties.py``, ``tests/test_schemes_properties.py``).
   The suite also runs straight from a checkout with no install at all
   (the repo-root ``conftest.py`` wires up the ``src/`` layout).
-* ``bench`` — the optional performance stack: numpy (vectorized zone
-  backend, see ``repro.zones.backend``) and pytest-benchmark (the
-  ``benchmarks/`` suite; ``benchmarks/conftest.py`` skips collection
-  cleanly when the plugin is absent).
+* ``bench`` — the optional performance stack: numpy (the storage of
+  the compiled ``native`` zone backend, see ``repro.zones.backend``)
+  and pytest-benchmark (the ``benchmarks/`` suite;
+  ``benchmarks/conftest.py`` skips collection cleanly when the plugin
+  is absent).
 * ``native`` — the compiled DBM kernel's runtime dependency (numpy:
   :class:`repro.zones.dbm_native.NativeDBM` stores its matrix as an
   int64 array).  The C extension itself is built by this setup script.
 
 The ``repro.zones._dbmkernel`` extension is marked ``optional``: a
 missing C toolchain degrades the build to a warning and the package
-falls back to the reference/numpy backends at runtime (the ``native``
-backend simply drops out of ``available_backends()``).  Build it in
+falls back to the pure-Python reference backend at runtime (the
+``native`` backend simply drops out of ``available_backends()``).  Build it in
 place for a source checkout with::
 
     python setup.py build_ext --inplace

@@ -16,7 +16,7 @@ verbs off that shared configuration::
 
     from repro.api import Session
 
-    s = Session(backend="numpy", jobs=4)
+    s = Session(backend="native", jobs=4)
     report = s.verify(pim, scheme, input_channel="m_BolusReq",
                       output_channel="c_StartInfusion",
                       deadline_ms=500)
@@ -82,8 +82,8 @@ class Session:
     Parameters
     ----------
     backend:
-        Zone-backend spec (``auto`` / ``reference`` / ``numpy`` /
-        ``native``); ``None`` defers to ``set_backend`` /
+        Zone-backend spec (``auto`` / ``reference`` / ``native``);
+        ``None`` defers to ``set_backend`` /
         ``REPRO_ZONE_BACKEND`` / ``auto``.
     abstraction:
         Extrapolation operator (``extra_m`` / ``extra_lu``); ``None``

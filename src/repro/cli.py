@@ -54,7 +54,7 @@ from repro.mc.pool import set_default_jobs
 from repro.ta.bounds import set_abstraction
 from repro.ta.render import network_summary, network_to_dot
 from repro.ta.uppaal import network_to_uppaal_xml
-from repro.zones.backend import set_backend
+from repro.zones.backend import CHOICES as BACKEND_CHOICES, set_backend
 
 __all__ = ["main"]
 
@@ -446,13 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "(DATE 2015 reproduction)")
     parser.add_argument(
         "--zone-backend",
-        choices=["auto", "reference", "numpy", "native"],
+        choices=BACKEND_CHOICES,
         default=None,
         help="DBM kernel for all model checking (default: auto — "
-             "picks the cheapest available backend per model from a "
-             "committed cost table: the compiled C kernel when built, "
-             "else numpy or the pure-Python reference by model size; "
-             "also settable via REPRO_ZONE_BACKEND)")
+             "the compiled C kernel when built and the model fits its "
+             "clock limit, else the pure-Python reference; aliases: "
+             "python/list = reference, c = native; also settable via "
+             "REPRO_ZONE_BACKEND)")
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for portfolio sweeps and the serve "

@@ -24,9 +24,9 @@ Performance architecture (see ``docs/PERFORMANCE.md``):
   resets/copies → frees → invariants → delay → extrapolation, with
   early exit on emptiness — is one :meth:`ZoneMatrix.apply_plan
   <repro.zones.common.ZoneMatrix.apply_plan>` call.  The reference
-  and numpy backends replay it op by op on one reusable scratch
-  matrix and copy out only the survivors; the native backend runs the
-  whole plan inside a single ``_dbmkernel.run_plan`` call.
+  backend replays it op by op on one reusable scratch matrix and
+  copies out only the survivors; the native backend runs the whole
+  plan inside a single ``_dbmkernel.run_plan`` call.
 * **Backend-paired passed store.**  Per discrete configuration the
   stored zones live in a bucket (:mod:`repro.zones.store`); with the
   C extension built, its inclusion and eviction scans run in C.
@@ -44,7 +44,7 @@ Performance architecture (see ``docs/PERFORMANCE.md``):
   default stays eager — ``zone_graph_stats`` and the paper experiments
   report bit-identical numbers to the seed implementation.
 
-The zone backend (``reference``, ``numpy`` or ``native``) is chosen
+The zone backend (``reference`` or ``native``) is chosen
 per explorer via ``zone_backend=``, the ``REPRO_ZONE_BACKEND``
 environment variable or :func:`repro.zones.backend.set_backend`; all
 backends yield bit-identical zone graphs.
@@ -60,7 +60,6 @@ from typing import Callable, Iterator, Mapping
 from repro.mc.state import CompiledEdge, CompiledNetwork, SymbolicState
 from repro.ta.model import ModelError, Network
 from repro.zones.backend import resolve_backend
-from repro.zones.costmodel import BackendHint
 
 __all__ = [
     "ExplorationLimit",
@@ -182,8 +181,8 @@ class ZoneGraphExplorer:
     max_states:
         Hard cap on stored symbolic states.
     zone_backend:
-        Zone-kernel choice (``auto``/``reference``/``numpy``/
-        ``native``); ``None`` defers to
+        Zone-kernel choice (``auto``/``reference``/``native``);
+        ``None`` defers to
         :func:`repro.zones.backend.resolve_backend`.
     lazy_subsumption:
         Skip waiting-list entries whose zone was evicted by a larger
@@ -214,13 +213,9 @@ class ZoneGraphExplorer:
         self.abstraction = self.compiled.abstraction
         self.trace_enabled = trace
         self.max_states = max_states
-        # ``auto`` resolution consults the compiled network's shape
-        # (clock count + the portfolio scheduler's structural-size
-        # measure).
-        self.backend = resolve_backend(zone_backend, hint=BackendHint(
-            n_clocks=self.compiled.n_clocks,
-            structural_size=sum(len(a.locations) + len(a.edges)
-                                for a in network.automata)))
+        # ``auto`` falls back to reference past the native clock limit.
+        self.backend = resolve_backend(zone_backend,
+                                       n_clocks=self.compiled.n_clocks)
         self.lazy_subsumption = lazy_subsumption
         self._dbm = self.backend.dbm
         self._bucket_cls = self.backend.bucket

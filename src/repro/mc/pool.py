@@ -92,7 +92,7 @@ class EngineConfig:
     differently underneath.
     """
 
-    #: Concrete backend name (``"reference"``/``"numpy"``/``"native"``)
+    #: Concrete backend name (``"reference"``/``"native"``)
     #: — or the literal ``"auto"`` when that is what the caller asked
     #: for: workers then re-resolve per model, which is safe because
     #: every backend is bit-identical.

@@ -1,4 +1,4 @@
-"""Vectorized monitoring: advance many trace sessions per kernel call.
+"""Batched monitoring: advance many trace sessions per kernel call.
 
 At traffic scale the monitor's cost is not the zone math but the
 per-call dispatch around it: thousands of concurrent traces each
@@ -14,23 +14,22 @@ batching each step across sessions:
    representative's closure with its own gap;
 2. per BFS generation, gather every (state, internal plan) task across
    *all* sessions, group the tasks by plan identity, stack the source
-   zones ``(B, n, n)`` and run each plan once through the batched
-   pipeline (:class:`~repro.zones.batch.BatchExpander`, or the native
-   whole-plan kernel when the model compiled on that backend);
+   zones ``(B, n, n)`` and run each plan once through the native
+   whole-plan kernel
+   (:meth:`~repro.zones.dbm_native.NativeBatchExpander.run_plan`);
 3. match phase: the same grouping over observable plans, with each
-   lane pinned to its session's own gap via the per-lane
-   :meth:`~repro.zones.batch.BatchExpander.constrain_each` kernel
-   (pins differ per session, so the whole-plan native path does not
-   apply — the numpy stage-by-stage pipeline runs it for both
-   backends, whose bit-identity is already established).
+   lane first pinned to its session's own gap (one
+   ``_dbmkernel.constrain_all`` call per lane) and the pinned stack
+   then run through the same ``run_plan`` call — observable plans
+   already carry the ``_mon`` reset in their zone ops
+   (:meth:`~repro.monitor.model.MonitorModel.moves_for`).
 
 Verdicts are bit-identical to feeding each session one event at a
 time: tasks scatter back in (session, frontier order, plan order)
 sequence — exactly the scalar session's loop order — and zone values
 never depend on another lane, so subsumption and frontier contents
-replay the sequential decisions verbatim.  Without numpy (or on the
-reference backend) the class transparently falls back to scalar
-per-session stepping.
+replay the sequential decisions verbatim.  On the reference backend
+the class transparently falls back to scalar per-session stepping.
 """
 
 from __future__ import annotations
@@ -38,19 +37,11 @@ from __future__ import annotations
 from repro.mc.state import SymbolicState
 from repro.monitor.model import MonitorError, MonitorModel
 from repro.monitor.report import build_deviation
-from repro.monitor.session import MonitorSession
+from repro.monitor.session import MonitorSession, pin_ops
 from repro.ta.model import ModelError
 from repro.zones.bounds import LE_ZERO, bound_add, encode
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less fallback
-    np = None
-
 __all__ = ["BatchMonitor"]
-
-#: Backends whose zones expose the stackable ``_m`` int64 matrix.
-_BATCHED_BACKENDS = ("numpy", "native")
 
 
 class _Step:
@@ -77,9 +68,9 @@ class BatchMonitor:
     ``requirement`` and ``history`` are forwarded to every session
     (sessions of one pool typically watch the same scheme and paper
     requirement).  ``vectorized`` defaults to auto-detection: batched
-    kernels when numpy is importable and the model compiled on a
-    stackable backend, scalar per-session stepping otherwise; pass
-    ``False`` to force the scalar path (the bit-identity tests do).
+    kernels when the model compiled on the native backend, scalar
+    per-session stepping otherwise; pass ``False`` to force the scalar
+    path (the bit-identity tests do).
     """
 
     def __init__(self, model: MonitorModel, n_sessions: int, *,
@@ -91,29 +82,24 @@ class BatchMonitor:
             MonitorSession(model, session_id=i, requirement=requirement,
                            history=history)
             for i in range(n_sessions)]
-        supported = (np is not None
-                     and model.backend.name in _BATCHED_BACKENDS)
+        supported = model.backend.name == "native"
         if vectorized is None:
             vectorized = supported
         elif vectorized and not supported:
             raise MonitorError(
-                "vectorized monitoring needs numpy and a numpy/native "
-                f"zone backend (model compiled on "
-                f"{model.backend.name!r})")
+                "vectorized monitoring needs the native zone backend "
+                f"(model compiled on {model.backend.name!r})")
         self.vectorized = vectorized
         if vectorized:
-            from repro.zones.batch import BatchExpander
+            import numpy
+
+            from repro.zones.dbm_native import NativeBatchExpander, _k
 
             compiled = model.compiled
-            self._pin_expander = BatchExpander(
+            self._np = numpy
+            self._kernel = _k
+            self._expander = NativeBatchExpander(
                 compiled.n_clocks, compiled.max_constants)
-            if model.backend.name == "native":
-                from repro.zones.dbm_native import NativeBatchExpander
-
-                self._internal_expander = NativeBatchExpander(
-                    compiled.n_clocks, compiled.max_constants)
-            else:
-                self._internal_expander = self._pin_expander
             self._dbm = model.explorer._dbm
 
     # ------------------------------------------------------------------
@@ -263,7 +249,7 @@ class BatchMonitor:
                         tasks.append((step, state, plan))
             if not tasks:
                 return
-            rows = self._run_groups(tasks, self._internal_expander)
+            rows = self._run_groups(tasks, pinned=False)
             for (step, state, plan), row in zip(tasks, rows):
                 if row is None:
                     continue
@@ -305,7 +291,7 @@ class BatchMonitor:
                     tasks.append((step, state, plan))
         if not tasks:
             return
-        rows = self._run_groups(tasks, None)
+        rows = self._run_groups(tasks, pinned=True)
         intern = model.intern
         for (step, state, plan), row in zip(tasks, rows):
             if row is None:
@@ -324,14 +310,16 @@ class BatchMonitor:
     # ------------------------------------------------------------------
     # Plan-grouped kernel waves
     # ------------------------------------------------------------------
-    def _run_groups(self, tasks, expander) -> list:
+    def _run_groups(self, tasks, *, pinned: bool) -> list:
         """Run every task's plan batched; result rows in task order.
 
-        ``expander`` runs whole internal plans (``None`` selects the
-        pinned observable pipeline).  Deferred plan errors raise for
-        the globally first task whose guards survive, matching the
-        scalar session's raise point.
+        With ``pinned`` each lane is first constrained to
+        ``_mon == gap`` of its session (lanes the pins empty enter the
+        plan dead).  Deferred plan errors raise for the globally first
+        task whose guards survive, matching the scalar session's raise
+        point.
         """
+        np = self._np
         groups: dict[int, list] = {}
         plans: dict[int, object] = {}
         for t, (_step, _state, plan) in enumerate(tasks):
@@ -340,16 +328,18 @@ class BatchMonitor:
             groups.setdefault(pid, []).append(t)
         rows: list = [None] * len(tasks)
         first_error: tuple | None = None
+        n = self.model.compiled.n_clocks
+        mon = self.model.mon_idx
+        constrain_all = self._kernel.constrain_all
         for pid, idxs in groups.items():
             plan = plans[pid]
             stack = np.stack([tasks[t][1].zone._m for t in idxs])
-            if expander is not None:
-                work, alive = expander.run_plan(stack, plan)
-            else:
-                work, alive = self._run_pinned(
-                    stack, plan,
-                    np.array([tasks[t][0].gap_us for t in idxs],
-                             dtype=np.int64))
+            alive = None
+            if pinned:
+                alive = [constrain_all(lane, n,
+                                       pin_ops(mon, tasks[t][0].gap_us))
+                         for lane, t in zip(stack, idxs)]
+            work, alive = self._expander.run_plan(stack, plan, alive)
             if work is None:  # deferred range-check error plan
                 for b, t in enumerate(idxs):
                     if alive[b]:
@@ -368,52 +358,6 @@ class BatchMonitor:
                 f"{self.model.compiled.state_description(state)})"
             ) from plan.error
         return rows
-
-    def _run_pinned(self, stack, plan, gaps):
-        """Observable pipeline with per-lane ``_mon == gap`` pins.
-
-        Stage-for-stage replay of
-        :meth:`MonitorSession._run_observable` through the numpy
-        batch kernels: pin, guards, updates + ``_mon`` reset, frees,
-        invariants, delay, extrapolation.
-        """
-        expander = self._pin_expander
-        mon = self.model.mon_idx
-        work = stack
-        alive = np.ones(work.shape[0], dtype=bool)
-        expander.constrain_each(work, alive, mon, 0, (gaps << 1) | 1)
-        expander.constrain_each(work, alive, 0, mon, ((-gaps) << 1) | 1)
-        dead = not alive.any()
-        for i, j, bound in plan.guard_ops:
-            if dead:
-                return work, alive
-            expander.constrain(work, alive, i, j, bound)
-            dead = not alive.any()
-        if plan.error is not None:
-            return None, alive
-        if dead:
-            return work, alive
-        for kind, x, y in plan.zone_ops:
-            if kind == 0:  # reset
-                expander.reset(work, x, y)
-            else:  # copy
-                expander.assign_clock(work, x, y)
-        expander.reset(work, mon, 0)
-        if plan.free_clocks:
-            expander.free_many(work, plan.free_clocks)
-        for i, j, bound in plan.invariant_ops:
-            expander.constrain(work, alive, i, j, bound)
-            if not alive.any():
-                return work, alive
-        if plan.delay:
-            expander.up(work)
-            for i, j, bound in plan.invariant_ops:
-                expander.constrain(work, alive, i, j, bound)
-        if plan.lu is not None:
-            expander.extrapolate_lu(work, alive, plan.lu)
-        else:
-            expander.extrapolate_max(work, alive)
-        return work, alive
 
     def _materialize(self, row):
         """A fresh backend zone adopting a batched result row."""

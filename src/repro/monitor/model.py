@@ -42,6 +42,7 @@ server lifetime inside the service daemon.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 
 from repro.mc.explorer import ExplorationLimit, ZoneGraphExplorer
@@ -156,7 +157,9 @@ class MonitorMoves:
     stepping, polls, io hand-offs) — the closure between observed
     events runs over exactly these.  ``observable`` maps a boundary
     channel index to the moves that synchronize on it — candidates for
-    matching an observed event.
+    matching an observed event.  Observable plans are copies of the
+    explorer's with the ``_mon`` reset appended to ``zone_ops``, so
+    matching an event is the pins followed by one ordinary plan step.
     """
 
     __slots__ = ("internal", "observable")
@@ -236,12 +239,15 @@ class MonitorModel:
         moves = self._moves.get(key)
         if moves is None:
             observable_ids = self._observable_ids
+            mon_reset = ((0, self.mon_idx, 0),)
             internal: list = []
             observable: dict[int, list] = {}
             for plan in self.explorer.plans_for(key):
                 if plan.channel_idx in observable_ids:
+                    matched = copy.copy(plan)
+                    matched.zone_ops = plan.zone_ops + mon_reset
                     observable.setdefault(plan.channel_idx,
-                                          []).append(plan)
+                                          []).append(matched)
                 else:
                     internal.append(plan)
             moves = self._moves[key] = MonitorMoves(

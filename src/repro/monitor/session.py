@@ -17,12 +17,14 @@ subset construction of arXiv:1303.1010):
    closure states are handed to :mod:`repro.monitor.report` to compute
    when the event *would* have been admissible.
 
-The plan pipeline below replays the explorer's successor step
-(:meth:`repro.zones.common.ZoneMatrix.apply_plan`) op-for-op (same
-order, same kernels), so monitor zones are
-bit-compatible with exploration zones — and with the vectorized
-stepper in :mod:`repro.monitor.batch`, which runs the same sequence
-through :class:`repro.zones.batch.BatchExpander`.
+Both phases run the explorer's successor step
+(:meth:`repro.zones.common.ZoneMatrix.apply_plan`) unchanged: an
+observable plan already carries the ``_mon`` reset in its zone ops
+(:meth:`repro.monitor.model.MonitorModel.moves_for`), so matching is
+the pins followed by one ``apply_plan`` call.  Monitor zones are
+therefore bit-compatible with exploration zones — and with the batched
+stepper in :mod:`repro.monitor.batch`, which runs the same pins and
+the same plans through the native kernel for many sessions at once.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class MonitorSession:
     __slots__ = ("model", "session_id", "frontier", "conforming",
                  "deviation", "last_time_us", "events_seen",
                  "events_observed", "history", "requirement",
-                 "_scratch")
+                 "_scratch", "_pinned")
 
     def __init__(self, model: MonitorModel, *, session_id: int = 0,
                  requirement: tuple | None = None,
@@ -85,6 +87,7 @@ class MonitorSession:
         self.history: deque = deque(maxlen=history)
         self.requirement = requirement
         self._scratch = None
+        self._pinned = None
 
     # ------------------------------------------------------------------
     def observe(self, event) -> bool:
@@ -140,7 +143,7 @@ class MonitorSession:
         while queue:
             state = queue.popleft()
             for plan in self.model.moves_for(state.key()).internal:
-                zone = self._run_internal(state.zone, plan, state)
+                zone = self._step(state.zone, plan, state)
                 if zone is None:
                     continue
                 if not can_match_within(zone, mon, gap_us):
@@ -175,8 +178,18 @@ class MonitorSession:
         intern = self.model.intern
         for state in candidates:
             plans = self.model.moves_for(state.key()).observable
-            for plan in plans.get(channel_idx, ()):
-                zone = self._run_observable(state.zone, plan, pins, state)
+            plans = plans.get(channel_idx, ())
+            if not plans:
+                continue
+            pinned = self._pinned
+            if pinned is None or pinned.size != state.zone.size:
+                pinned = self._pinned = state.zone.copy()
+            else:
+                pinned.copy_from(state.zone)
+            if not pinned.constrain_all(pins):
+                continue
+            for plan in plans:
+                zone = self._step(pinned, plan, state)
                 if zone is None:
                     continue
                 zone = intern.intern(zone)
@@ -190,61 +203,20 @@ class MonitorSession:
         return frontier
 
     # ------------------------------------------------------------------
-    # Plan pipelines (op-identical to ZoneMatrix.apply_plan)
-    # ------------------------------------------------------------------
-    def _scratch_from(self, src):
+    def _step(self, src, plan, state):
+        """``src.apply_plan``, with the firing context on a deferred
+        plan error (the explorer's message)."""
         scratch = self._scratch
         if scratch is None or scratch.size != src.size:
             scratch = self._scratch = src.copy()
-        else:
-            scratch.copy_from(src)
-        return scratch
-
-    def _run_internal(self, src, plan, state):
-        scratch = self._scratch_from(src)
-        if not scratch.constrain_all(plan.guard_ops):
-            return None
-        self._check_plan_error(plan, state)
-        return self._finish_plan(scratch, plan, mon_reset=False)
-
-    def _run_observable(self, src, plan, pins, state):
-        scratch = self._scratch_from(src)
-        if not scratch.constrain_all(pins):
-            return None
-        if not scratch.constrain_all(plan.guard_ops):
-            return None
-        self._check_plan_error(plan, state)
-        return self._finish_plan(scratch, plan, mon_reset=True)
-
-    def _check_plan_error(self, plan, state) -> None:
-        if plan.error is not None:
+        try:
+            return src.apply_plan(plan, self.model.compiled.max_constants,
+                                  scratch)
+        except ModelError as exc:
             raise ModelError(
-                f"{plan.error} (while firing {plan.label} from "
+                f"{exc} (while firing {plan.label} from "
                 f"{self.model.compiled.state_description(state)})"
-            ) from plan.error
-
-    def _finish_plan(self, scratch, plan, *, mon_reset: bool):
-        for kind, x, y in plan.zone_ops:
-            if kind == 0:  # reset
-                scratch.reset(x, y)
-            else:  # copy
-                scratch.assign_clock(x, y)
-        if mon_reset:
-            scratch.reset(self.model.mon_idx, 0)
-        if plan.free_clocks:
-            scratch.free_many(plan.free_clocks)
-        if not scratch.constrain_all(plan.invariant_ops):
-            return None
-        if plan.delay:
-            scratch.up()
-            scratch.constrain_all(plan.invariant_ops)
-        if plan.lu is not None:
-            scratch.extrapolate_lu(plan.lu[0], plan.lu[1])
-        else:
-            scratch.extrapolate_max(self.model.compiled.max_constants)
-        if scratch.is_empty():
-            return None
-        return scratch.copy()
+            ) from exc
 
     # ------------------------------------------------------------------
     def verdict(self) -> dict:

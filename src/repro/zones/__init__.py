@@ -1,10 +1,10 @@
 """Zone (difference bound matrix) substrate for timed-automata checking.
 
-The list-based :class:`DBM` is the portable reference backend; a
-vectorized numpy backend lives in :mod:`repro.zones.dbm_numpy` and is
+The list-based :class:`DBM` is the portable reference backend; the
+compiled native backend lives in :mod:`repro.zones.dbm_native` and is
 auto-selected via :mod:`repro.zones.backend` (``REPRO_ZONE_BACKEND``
 environment variable, ``set_backend`` or the CLI ``--zone-backend``
-flag) when numpy is importable.
+flag) when its C extension is built.
 """
 
 from repro.zones.backend import (

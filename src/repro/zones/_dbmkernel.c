@@ -1,11 +1,11 @@
 /* Native DBM kernel for the `native` zone backend.
  *
  * Scalar and batched difference-bound-matrix operations, bit-identical
- * to the reference implementation in repro/zones/dbm.py (and therefore
- * to repro/zones/dbm_numpy.py — the differential lockstep tests in
- * tests/test_zones_backends.py drive all three in parallel).  The
- * Python-side wrapper (repro/zones/dbm_native.py) owns the `_empty` /
- * `_frozen` bookkeeping; this module only mutates the raw int64
+ * to the reference implementation in repro/zones/dbm.py (the
+ * differential lockstep tests in tests/test_zones_backends.py drive
+ * both in parallel).  The Python-side wrapper
+ * (repro/zones/dbm_native.py) owns the `_empty` / `_frozen`
+ * bookkeeping; this module only mutates the raw int64
  * matrix, which it reaches through the buffer protocol so the wrapper
  * can keep using a plain numpy array (and everything downstream —
  * the intern table, the monitor's `np.stack` batches — keeps working

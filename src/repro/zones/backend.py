@@ -1,21 +1,20 @@
-"""Zone-backend selection: one DBM API, pluggable kernels.
+"""Zone-backend selection: one DBM API, two kernels.
 
-Three interchangeable backends implement the
+Two interchangeable backends implement the
 :class:`~repro.zones.common.ZoneMatrix` contract:
 
 ``reference``
     The portable list-based :class:`~repro.zones.dbm.DBM` (aliases:
     ``python``, ``list``).  No dependencies, arbitrary-precision ints.
-``numpy``
-    The vectorized :class:`~repro.zones.dbm_numpy.NumpyDBM`, paired
-    with a batched passed-list store.  Requires numpy.
+    It is the executable specification: every lockstep test compares
+    the native kernels against it.
 ``native``
     The compiled :class:`~repro.zones.dbm_native.NativeDBM` (alias:
-    ``c``): C kernels over the numpy storage, sharing the numpy
-    backend's batched store.  Requires numpy plus the optional
-    ``repro.zones._dbmkernel`` extension (``python setup.py build_ext
-    --inplace``, or the ``[native]`` install extra); simply absent
-    from :func:`available_backends` when unbuilt.
+    ``c``): C kernels over numpy int64 storage, paired with the
+    row-stack passed store whose scans also run in C.  Requires numpy
+    plus the optional ``repro.zones._dbmkernel`` extension (``python
+    setup.py build_ext --inplace``, or the ``[native]`` install
+    extra); simply absent from :func:`available_backends` when unbuilt.
 
 Selection order for :func:`resolve_backend`:
 
@@ -23,16 +22,11 @@ Selection order for :func:`resolve_backend`:
    ``zone_backend=`` parameter or the CLI ``--zone-backend`` flag),
 2. a process-wide override installed via :func:`set_backend`,
 3. the ``REPRO_ZONE_BACKEND`` environment variable,
-4. ``auto``: the cheapest available backend for the workload at hand.
+4. ``auto``: ``native`` when it is built and the model fits its clock
+   limit (:data:`~repro.zones.dbm_native.MAX_CLOCKS`), else
+   ``reference``.
 
-``auto`` is hint-aware: callers that know the compiled network (the
-explorer) pass a :class:`~repro.zones.costmodel.BackendHint` with the
-clock count and structural model size, and the committed
-microbenchmark cost table in :mod:`repro.zones.costmodel`
-picks the backend.  Without a hint the preference is static
-(native > numpy > reference).
-
-All backends produce bit-identical matrices, hashes and emptiness
+Both backends produce bit-identical matrices, hashes and emptiness
 verdicts (enforced by the differential tests), so switching backends
 never changes verification results — only wall time.
 """
@@ -45,6 +39,7 @@ from repro.zones.dbm import DBM
 from repro.zones.store import ReferencePassedBucket
 
 __all__ = [
+    "CHOICES",
     "ENV_VAR",
     "ZoneBackend",
     "available_backends",
@@ -59,10 +54,12 @@ _ALIASES = {
     "reference": "reference",
     "python": "reference",
     "list": "reference",
-    "numpy": "numpy",
     "native": "native",
     "c": "native",
 }
+
+#: Every accepted spelling: ``auto`` plus the backend names and aliases.
+CHOICES = ("auto", *_ALIASES)
 
 
 class ZoneBackend(NamedTuple):
@@ -78,23 +75,12 @@ def _env_backend() -> str:
     a daemon must reject a typo at boot, not inside a request)."""
     from repro.envvars import env_choice
 
-    return env_choice(ENV_VAR, ("auto", *_ALIASES),
-                      default="auto")
+    return env_choice(ENV_VAR, CHOICES, default="auto")
 
 
 _REFERENCE = ZoneBackend("reference", DBM, ReferencePassedBucket)
-_numpy_backend: ZoneBackend | None = None
 _native_backend: ZoneBackend | None = None
 _forced: str | None = None
-
-
-def _load_numpy() -> ZoneBackend:
-    global _numpy_backend
-    if _numpy_backend is None:
-        from repro.zones.dbm_numpy import NumpyDBM
-        from repro.zones.store import NumpyPassedBucket
-        _numpy_backend = ZoneBackend("numpy", NumpyDBM, NumpyPassedBucket)
-    return _numpy_backend
 
 
 def _load_native() -> ZoneBackend:
@@ -109,35 +95,33 @@ def _load_native() -> ZoneBackend:
 
 def available_backends() -> tuple[str, ...]:
     """Canonical names of the backends importable right now."""
-    names = ["reference"]
-    try:
-        _load_numpy()
-    except ImportError:
-        pass
-    else:
-        names.append("numpy")
     try:
         _load_native()
     except ImportError:
-        pass
-    else:
-        names.append("native")
-    return tuple(names)
+        return ("reference",)
+    return ("reference", "native")
+
+
+def _canonical(name: str) -> str:
+    key = _ALIASES.get(name)
+    if key is None:
+        raise ValueError(
+            f"unknown zone backend {name!r} "
+            f"(choose from: {', '.join(CHOICES)})")
+    return key
 
 
 def set_backend(name: str | None) -> None:
     """Install a process-wide backend override (``None`` clears it).
 
-    Accepts ``auto``, ``reference`` (aliases ``python``/``list``),
-    ``numpy`` or ``native`` (alias ``c``); validation of availability
-    happens at resolve time so an early CLI call cannot crash on a
-    missing optional dependency.
+    Accepts ``auto``, ``reference`` (aliases ``python``/``list``) or
+    ``native`` (alias ``c``); validation of availability happens at
+    resolve time so an early CLI call cannot crash on a missing
+    optional dependency.
     """
     global _forced
-    if name is not None and name != "auto" and name not in _ALIASES:
-        raise ValueError(
-            f"unknown zone backend {name!r} "
-            f"(choose from: auto, {', '.join(sorted(set(_ALIASES)))})")
+    if name is not None and name != "auto":
+        _canonical(name)
     _forced = name
 
 
@@ -156,51 +140,31 @@ def requested_backend(name: str | None = None) -> str:
         name = _forced or _env_backend()
     if name == "auto":
         return "auto"
-    key = _ALIASES.get(name)
-    if key is None:
-        raise ValueError(
-            f"unknown zone backend {name!r} "
-            f"(choose from: auto, {', '.join(sorted(set(_ALIASES)))})")
-    return key
-
-
-def _resolve_auto(hint=None) -> ZoneBackend:
-    """Cost-model resolution of ``auto`` (see module docstring)."""
-    from repro.zones.costmodel import choose_backend
-    candidates = available_backends()
-    name = choose_backend(candidates, hint)
-    if name == "native":
-        return _load_native()
-    if name == "numpy":
-        return _load_numpy()
-    return _REFERENCE
+    return _canonical(name)
 
 
 def resolve_backend(name: str | None = None, *,
-                    hint=None) -> ZoneBackend:
+                    n_clocks: int | None = None) -> ZoneBackend:
     """Resolve a backend spec (see the module docstring for the order).
 
-    ``hint`` is an optional :class:`~repro.zones.costmodel.BackendHint`
-    consulted only when the spec resolves to ``auto``; explicit names
-    ignore it.
+    ``n_clocks`` is the DBM dimension of the model about to run
+    (reference clock included).  ``auto`` falls back to ``reference``
+    when it exceeds the native kernel's limit; explicit names ignore
+    it, so an explicit ``native`` on too big a model fails with the
+    kernel's own error instead of silently changing backend.
     """
     if name is None:
         name = _forced or _env_backend()
     if name == "auto":
-        return _resolve_auto(hint)
-    key = _ALIASES.get(name)
-    if key is None:
-        raise ValueError(
-            f"unknown zone backend {name!r} "
-            f"(choose from: auto, {', '.join(sorted(set(_ALIASES)))})")
-    if key == "numpy":
         try:
-            return _load_numpy()
-        except ImportError as exc:
-            raise RuntimeError(
-                "the numpy zone backend was requested but numpy is "
-                "not importable") from exc
-    if key == "native":
+            native = _load_native()
+        except ImportError:
+            return _REFERENCE
+        from repro.zones.dbm_native import MAX_CLOCKS
+        if n_clocks is not None and n_clocks > MAX_CLOCKS:
+            return _REFERENCE
+        return native
+    if _canonical(name) == "native":
         try:
             return _load_native()
         except ImportError as exc:
@@ -208,6 +172,6 @@ def resolve_backend(name: str | None = None, *,
                 "the native zone backend was requested but the "
                 "compiled kernel is not importable — build it with "
                 "'python setup.py build_ext --inplace' (or install "
-                "the [native] extra), or pick auto/numpy/reference"
+                "the [native] extra), or pick auto/reference"
             ) from exc
     return _REFERENCE

@@ -1,8 +1,7 @@
 """Shared zone-matrix interface and backend-independent helpers.
 
-Every zone backend (the portable list-based :class:`~repro.zones.dbm.DBM`,
-the vectorized :class:`~repro.zones.dbm_numpy.NumpyDBM` and the compiled
-:class:`~repro.zones.dbm_native.NativeDBM`) subclasses
+Both zone backends (the portable list-based :class:`~repro.zones.dbm.DBM`
+and the compiled :class:`~repro.zones.dbm_native.NativeDBM`) subclass
 :class:`ZoneMatrix`.  The subclasses implement the numeric kernel —
 closure, constraining, resets, extrapolation — natively for their
 storage layout; everything that is either debug-oriented or naturally

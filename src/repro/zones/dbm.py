@@ -21,9 +21,10 @@ zone-based reachability (Bengtsson & Yi 2003):
 
 Instances are small (the framework's PSMs use well under 16 clocks),
 so the matrix is a flat Python list; no numpy dependency is needed and
-arbitrary-precision integers make overflow a non-issue.  A vectorized
-drop-in replacement lives in :mod:`repro.zones.dbm_numpy`; backends are
-selected via :mod:`repro.zones.backend`.
+arbitrary-precision integers make overflow a non-issue.  It is the
+executable specification of every zone operation: the compiled
+drop-in replacement in :mod:`repro.zones.dbm_native` is tested against
+it bit for bit; backends are selected via :mod:`repro.zones.backend`.
 
 Allocation discipline (this is the model checker's innermost data
 structure): emptiness is tracked as a flag maintained at tightening

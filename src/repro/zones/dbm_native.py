@@ -1,22 +1,19 @@
 """Native (C extension) DBM backend: compiled kernels, numpy storage.
 
-:class:`NativeDBM` subclasses :class:`~repro.zones.dbm_numpy.NumpyDBM`
-and keeps the matrix as the same C-contiguous ``(n, n)`` int64 array —
-so the passed-list buckets (:mod:`repro.zones.store`), the intern
-table and the monitor's ``np.stack`` batches all work unchanged — but
-every hot kernel (closure, constrain, resets, inclusion,
-extrapolation) is one call into the compiled ``repro.zones._dbmkernel``
-module instead of a cascade of numpy ufunc dispatches, and so is the
-explorer's whole successor step (:meth:`NativeDBM.apply_plan`).  On
-the small matrices this framework produces (< 16 clocks) per-call
-dispatch overhead dominates arithmetic, which is why the compiled
-scalar loops beat the vectorized kernels at every size.
+:class:`NativeDBM` keeps the matrix as a C-contiguous ``(n, n)`` int64
+numpy array — the layout the passed-list buckets
+(:mod:`repro.zones.store`), the intern table and the monitor's
+``np.stack`` batches read.  Every kernel (closure, constrain, resets,
+inclusion, extrapolation) is one call into the compiled
+``repro.zones._dbmkernel`` module, and so is the explorer's whole
+successor step (:meth:`NativeDBM.apply_plan`).  numpy is only the
+storage format; no numpy ufunc runs on the hot path.
 
 Bit-identity: the C kernels replicate the reference backend's loops
 statement for statement (see ``_dbmkernel.c``); the differential
-lockstep tests in ``tests/test_zones_backends.py`` drive reference,
-numpy and native through identical random op sequences and require
-equal snapshots, emptiness verdicts and hashes at every step.
+lockstep tests in ``tests/test_zones_backends.py`` drive reference and
+native through identical random op sequences and require equal
+snapshots, emptiness verdicts and hashes at every step.
 
 This module raises :class:`ImportError` when either numpy or the
 compiled extension is missing, or when the extension was built from
@@ -24,7 +21,7 @@ an older ``_dbmkernel.c`` than :data:`KERNEL_VERSION` (a stale in-place
 ``.so``); :mod:`repro.zones.backend` catches that and simply leaves
 ``native`` out of :func:`available_backends`, so a checkout without a
 compiler (or a wheel without the prebuilt artifact) falls back to the
-pure-python/numpy backends gracefully.
+pure-python reference backend gracefully.
 
 Build the extension in place with::
 
@@ -41,7 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.zones import _dbmkernel as _k  # ImportError when unbuilt
-from repro.zones.dbm_numpy import NumpyDBM
+from repro.zones.bounds import INF, LE_ZERO
+from repro.zones.common import ZoneMatrix
 
 __all__ = ["NativeDBM", "NativeBatchExpander"]
 
@@ -59,7 +57,7 @@ if _built < KERNEL_VERSION:
 MAX_CLOCKS: int = _k.MAX_CLOCKS
 
 
-class NativeDBM(NumpyDBM):
+class NativeDBM(ZoneMatrix):
     """Difference bound matrix with compiled kernels.
 
     Semantics are identical to :class:`repro.zones.dbm.DBM`, including
@@ -68,14 +66,73 @@ class NativeDBM(NumpyDBM):
     mutations happen in C through the buffer protocol.
     """
 
-    __slots__ = ()
+    __slots__ = ("size", "_m", "_empty", "_frozen")
 
     def __init__(self, size: int, _m=None):
+        if size < 1:
+            raise ValueError("a DBM needs at least the reference clock")
         if size > MAX_CLOCKS:
             raise ValueError(
                 f"the native zone backend supports up to {MAX_CLOCKS} "
                 f"clocks, got {size}")
-        super().__init__(size, _m)
+        self.size = size
+        if _m is None:
+            m = np.full((size, size), INF, dtype=np.int64)
+            m[0, :] = LE_ZERO
+            np.fill_diagonal(m, LE_ZERO)
+            self._empty = False
+        else:
+            m = np.array(_m, dtype=np.int64).reshape(size, size)
+            self._empty = None
+        self._m = m
+        self._frozen = None
+
+    # ------------------------------------------------------------------
+    # Constructors and raw access
+    # ------------------------------------------------------------------
+    @classmethod
+    def universal(cls, size: int) -> "NativeDBM":
+        """All clock valuations with non-negative clocks."""
+        return cls(size)
+
+    @classmethod
+    def zero(cls, size: int) -> "NativeDBM":
+        """The singleton zone where every clock equals 0."""
+        zone = cls(size)
+        zone._m.fill(LE_ZERO)
+        return zone
+
+    def copy(self) -> "NativeDBM":
+        clone = NativeDBM.__new__(NativeDBM)
+        clone.size = self.size
+        clone._m = self._m.copy()
+        clone._empty = self._empty
+        clone._frozen = self._frozen
+        return clone
+
+    def copy_from(self, other: "NativeDBM") -> "NativeDBM":
+        """Overwrite this zone in place from a same-size zone."""
+        np.copyto(self._m, other._m)
+        self._empty = other._empty
+        self._frozen = other._frozen
+        return self
+
+    def get(self, i: int, j: int) -> int:
+        """Encoded bound of ``x_i - x_j`` as a Python int."""
+        return int(self._m[i, j])
+
+    def set_raw(self, i: int, j: int, bound: int) -> None:
+        """Set an entry without re-closing (see the reference backend)."""
+        self._m[i, j] = bound
+        self._empty = None
+        self._frozen = None
+
+    def frozen(self) -> tuple[int, ...]:
+        """Immutable snapshot usable as a dict key (cached)."""
+        snapshot = self._frozen
+        if snapshot is None:
+            snapshot = self._frozen = tuple(self._m.ravel().tolist())
+        return snapshot
 
     # ------------------------------------------------------------------
     # Canonical form
@@ -181,12 +238,23 @@ class NativeDBM(NumpyDBM):
     # ------------------------------------------------------------------
     # Comparisons
     # ------------------------------------------------------------------
-    def includes(self, other) -> bool:
+    def _peer_matrix(self, other: ZoneMatrix) -> np.ndarray:
         if self.size != other.size:
             raise ValueError("DBM size mismatch")
-        if isinstance(other, NumpyDBM):
-            return _k.includes(self._m, other._m, self.size)
-        return bool((self._m >= self._peer_matrix(other)).all())
+        if type(other) is NativeDBM:
+            return other._m
+        return np.array(other.frozen(),
+                        dtype=np.int64).reshape(self.size, self.size)
+
+    def includes(self, other: ZoneMatrix) -> bool:
+        """Zone inclusion ``other ⊆ self`` (both canonical)."""
+        return _k.includes(self._m, self._peer_matrix(other), self.size)
+
+    def intersects(self, other: ZoneMatrix) -> bool:
+        """True when the two zones share at least one valuation."""
+        merged = np.minimum(self._m, self._peer_matrix(other))
+        _k.close(merged, self.size)
+        return not _k.is_empty(merged, self.size)
 
     # ------------------------------------------------------------------
     # Abstraction
@@ -212,13 +280,18 @@ class NativeDBM(NumpyDBM):
 class NativeBatchExpander:
     """Apply one successor plan to a zone stack in a single C call.
 
-    Drop-in replacement for :class:`repro.zones.batch.BatchExpander`:
-    same ``run_plan(src_stack, plan) -> (work, alive)`` contract, same
-    bit-identity guarantees for surviving elements, same
-    garbage-allowed contract for dead ones.  Instead of one broadcast
-    numpy kernel per plan *op*, the whole pipeline (guards → resets →
-    frees → invariants → delay → extrapolation) runs per element inside
-    ``_dbmkernel.run_plan`` with early exit on emptiness.
+    ``run_plan(src_stack, plan, alive=None) -> (work, alive)`` runs the
+    whole plan pipeline (guards → resets/copies → frees → invariants →
+    delay → extrapolation) per element inside ``_dbmkernel.run_plan``,
+    with early exit on emptiness.  ``src_stack`` is a ``(B, n, n)``
+    int64 stack; it is copied, never written.  An optional ``alive``
+    byte mask marks input lanes that are already dead: the kernel
+    skips them and they stay dead.  Surviving elements are bit-identical
+    to :meth:`ZoneMatrix.apply_plan <repro.zones.common.ZoneMatrix.apply_plan>`
+    on the same zone; dead elements may hold garbage.  A plan with a
+    deferred ``error`` stops at the guards and returns ``(None,
+    alive)``: ``alive`` then flags the lanes whose guards held, which
+    are exactly the lanes that must raise.
     """
 
     __slots__ = ("n", "max_consts")
@@ -227,12 +300,13 @@ class NativeBatchExpander:
         self.n = n_clocks
         self.max_consts = tuple(max_consts)
 
-    def run_plan(self, src_stack: np.ndarray, plan):
+    def run_plan(self, src_stack: np.ndarray, plan, alive=None):
         work = np.ascontiguousarray(src_stack)
         if work is src_stack:
             work = src_stack.copy()
         batch = work.shape[0]
-        alive = np.ones(batch, dtype=bool)
+        alive = (np.ones(batch, dtype=bool) if alive is None
+                 else np.array(alive, dtype=bool))
         _k.run_plan(work, alive, batch, self.n, plan.guard_ops,
                     plan.error is not None, plan.zone_ops,
                     plan.free_clocks, plan.invariant_ops,

@@ -11,10 +11,9 @@ and answers two questions on every candidate successor:
 
 These two scans are the hottest code of every exploration.  The
 reference bucket runs an early-exit elementwise loop over the raw
-bound lists.  The numpy bucket keeps the zones stacked in one
-``(capacity, n²)`` int64 array and scans it in C
-(``_dbmkernel.store_covers``/``store_insert``) whenever the compiled
-extension is importable, or with numpy broadcasts when it is not.
+bound lists.  The native backend's bucket keeps the zones stacked in
+one ``(capacity, n²)`` int64 numpy array and scans it in C
+(``_dbmkernel.store_covers``/``store_insert``).
 
 Buckets deliberately reach into the backing storage (``zone._m``) of
 their matching backend — they are the other half of each backend's
@@ -25,7 +24,6 @@ stored zones are freshly materialized and only read from then on).
 
 from __future__ import annotations
 
-import functools
 from math import isqrt
 from typing import Any
 
@@ -100,63 +98,28 @@ def _commit_sequential(covers, insert, candidates, entries) -> list[bool]:
     return flags
 
 
-@functools.cache
-def _native_scan():
-    """The compiled scan kernel, or ``None`` when it is not importable.
-
-    Goes through :mod:`repro.zones.dbm_native`, which refuses a stale
-    build, so a bucket never calls a scan the loaded ``.so`` lacks.
-    Tests monkeypatch this handle to force the numpy fallback.
-    """
-    try:
-        from repro.zones.dbm_native import _k
-    except ImportError:
-        return None
-    return _k
-
-
 class NumpyPassedBucket:
-    """Antichain of numpy-backed DBMs stacked as rows of one array.
+    """Antichain of native zones stacked as rows of one numpy array.
 
     Rows ``0.._count`` of the ``(capacity, n²)`` int64 stack hold the
     stored zones in insertion order; the capacity doubles when full.
-
-    With the compiled extension importable (:func:`_native_scan`, fixed
-    per bucket at construction) each scan is one C call:
-    ``store_covers`` stops at the first stored row that dominates the
-    candidate, and ``store_insert`` compacts the stack in place —
-    dropping the rows the candidate dominates — appends the candidate
-    and returns the evicted positions.
-
-    Without the extension the same verdicts come from numpy broadcasts
-    over the live rows, gated by two elementwise envelopes:
-
-    * ``_upper`` — elementwise maximum of the stored rows.  A stored
-      zone can only include a candidate whose every bound lies below
-      the envelope, so a failed ``candidate ≤ upper`` test refutes
-      ``covers`` with one vector comparison.
-    * ``_lower`` — elementwise minimum of the stored rows.  A candidate
-      can only evict a stored zone when it dominates the envelope, so
-      a failed ``candidate ≥ lower`` test skips the eviction sweep.
-
-    An eviction recomputes both envelopes from the surviving rows, so
-    they never keep contributions of rows that no longer exist.  The C
-    scans keep no envelopes: their early exit already stops at the
-    first refuting bound.
+    Each scan is one C call: ``store_covers`` stops at the first stored
+    row that dominates the candidate, and ``store_insert`` compacts the
+    stack in place — dropping the rows the candidate dominates —
+    appends the candidate and returns the evicted positions.
     """
 
-    __slots__ = ("_np", "_scan", "_n", "_stack", "_count", "_upper",
-                 "_lower", "entries")
+    __slots__ = ("_np", "_scan", "_n", "_stack", "_count", "entries")
 
     def __init__(self):
         import numpy
+
+        from repro.zones.dbm_native import _k
         self._np = numpy
-        self._scan = _native_scan()
+        self._scan = _k
         self._n = 0  # clocks per zone, fixed by the first insert
         self._stack = None  # (capacity, n²), rows 0.._count valid
         self._count = 0
-        self._upper = None
-        self._lower = None
         self.entries: list[Any] = []
 
     def __len__(self) -> int:
@@ -185,13 +148,7 @@ class NumpyPassedBucket:
         count = self._count
         if not count:
             return False
-        scan = self._scan
-        if scan is not None:
-            return scan.store_covers(self._stack, count, m, self._n)
-        row = m.reshape(-1)
-        if not (row <= self._upper).all():
-            return False
-        return bool((self._stack[:count] >= row).all(axis=1).any())
+        return self._scan.store_covers(self._stack, count, m, self._n)
 
     def _insert(self, m, entry) -> list:
         np = self._np
@@ -205,11 +162,7 @@ class NumpyPassedBucket:
             grown = np.empty((2 * count, stack.shape[1]), dtype=np.int64)
             grown[:count] = stack
             stack = self._stack = grown
-        scan = self._scan
-        if scan is not None:
-            positions = scan.store_insert(stack, count, m, self._n)
-        else:
-            positions = self._insert_broadcast(m.reshape(-1), count)
+        positions = self._scan.store_insert(stack, count, m, self._n)
         entries = self.entries
         if positions:
             evicted = [entries[i] for i in positions]
@@ -221,31 +174,3 @@ class NumpyPassedBucket:
         entries.append(entry)
         self._count = len(entries)
         return evicted
-
-    def _insert_broadcast(self, row, count: int) -> list[int]:
-        """Numpy fallback of ``store_insert``: write ``row`` after the
-        surviving rows, keep the envelopes exact, return the evicted
-        positions."""
-        np = self._np
-        stack = self._stack
-        if not count:
-            stack[0] = row
-            self._upper = row.copy()
-            self._lower = row.copy()
-            return []
-        if (row >= self._lower).all():
-            live = stack[:count]
-            subsumed = (row >= live).all(axis=1)
-            if subsumed.any():
-                kept = count - int(subsumed.sum())
-                # Fancy indexing copies; in-place compaction is safe.
-                stack[:kept] = live[~subsumed]
-                stack[kept] = row
-                live = stack[:kept + 1]
-                self._upper = live.max(axis=0)
-                self._lower = live.min(axis=0)
-                return np.flatnonzero(subsumed).tolist()
-        stack[count] = row
-        np.maximum(self._upper, row, out=self._upper)
-        np.minimum(self._lower, row, out=self._lower)
-        return []

@@ -227,7 +227,7 @@ def test_framework_pipeline_identical_under_lu():
 
 
 # =====================================================================
-# Case-study pins (numpy; the paper's S1 PSM and one blow-up corner)
+# Case-study pins (native; the paper's S1 PSM and one blow-up corner)
 # =====================================================================
 CASE_M = (11902, 13500)
 CASE_LU = (8908, 10246)
@@ -239,7 +239,8 @@ CORNER_LU = (32011, 35853)
 
 @pytest.fixture(scope="module")
 def case_study_psm():
-    pytest.importorskip("numpy")
+    if "native" not in BACKENDS:
+        pytest.skip("native zone backend not built")
     from repro.apps.infusion import build_infusion_pim
     from repro.apps.schemes import case_study_scheme
     return transform(build_infusion_pim(), case_study_scheme()).network
@@ -248,7 +249,8 @@ def case_study_psm():
 @pytest.fixture(scope="module")
 def corner_psm():
     """The period-50/poll-190 blow-up corner of the 16-scheme grid."""
-    pytest.importorskip("numpy")
+    if "native" not in BACKENDS:
+        pytest.skip("native zone backend not built")
     from repro.apps.infusion import build_infusion_pim
     from repro.apps.schemes import case_study_scheme
     return transform(build_infusion_pim(), case_study_scheme(
@@ -256,8 +258,8 @@ def corner_psm():
 
 
 def test_case_study_lu_state_counts_pinned(case_study_psm):
-    m = zone_graph_stats(case_study_psm, zone_backend="numpy")
-    lu = zone_graph_stats(case_study_psm, zone_backend="numpy",
+    m = zone_graph_stats(case_study_psm, zone_backend="native")
+    lu = zone_graph_stats(case_study_psm, zone_backend="native",
                           abstraction="extra_lu")
     assert (m.states, m.transitions) == CASE_M
     assert (lu.states, lu.transitions) == CASE_LU
@@ -267,10 +269,10 @@ def test_case_study_lu_state_counts_pinned(case_study_psm):
 def test_case_study_deadline_sweep_parity_pinned(case_study_psm):
     m = check_bounded_response(case_study_psm, "m_BolusReq",
                                "c_StartInfusion", 1430,
-                               zone_backend="numpy")
+                               zone_backend="native")
     lu = check_bounded_response(case_study_psm, "m_BolusReq",
                                 "c_StartInfusion", 1430,
-                                zone_backend="numpy",
+                                zone_backend="native",
                                 abstraction="extra_lu")
     assert m.holds and lu.holds  # Table I: P(Δ'_mc=1430) holds
     assert m.visited == CASE_DEADLINE_M
@@ -278,8 +280,8 @@ def test_case_study_deadline_sweep_parity_pinned(case_study_psm):
 
 
 def test_blow_up_corner_lu_state_counts_pinned(corner_psm):
-    m = zone_graph_stats(corner_psm, zone_backend="numpy")
-    lu = zone_graph_stats(corner_psm, zone_backend="numpy",
+    m = zone_graph_stats(corner_psm, zone_backend="native")
+    lu = zone_graph_stats(corner_psm, zone_backend="native",
                           abstraction="extra_lu")
     assert (m.states, m.transitions) == CORNER_M
     assert (lu.states, lu.transitions) == CORNER_LU

@@ -45,7 +45,7 @@ class TestResolutionOrder:
         assert session.jobs == 3
 
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ZONE_BACKEND", "numpy")
+        monkeypatch.setenv("REPRO_ZONE_BACKEND", "native")
         monkeypatch.setenv("REPRO_JOBS", "3")
         session = Session(backend="reference", jobs=1)
         assert session.backend == "reference"

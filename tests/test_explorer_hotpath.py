@@ -4,17 +4,18 @@
   whole successor step; the native backend overrides it with one
   ``_dbmkernel.run_plan`` call.  Seeded random plans (killing guards,
   deferred-error plans, Extra_M and Extra⁺_LU, delay on and off, freed
-  clocks) must give bit-identical survivors on every backend, and on
-  native with the base method forced in through ``monkeypatch``.
+  clocks) must give the reference replay's survivors bit for bit on
+  native, and on native with the base method forced in through
+  ``monkeypatch``.
 * **Trace identity.**  REQ1's counterexample and trace on the
   case-study PSM are pinned to a digest of the output the seed
   implementation (``(key, zone snapshot)``-keyed parent links)
-  produced, on every available backend.
+  produced, on reference and (when built) native.
 * **Trace links.**  A stop on the initial state yields ``[]``, and a
   traced exploration never snapshots a zone (``frozen()``).
 
-Nothing here needs numpy: without it the tests run on the reference
-backend alone.
+Nothing here needs the compiled extension: without it the tests run
+on the reference backend alone.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ needs_native = pytest.mark.skipif(
 #: sha256 of ``json.dumps({"counterexample": ..., "trace": ...},
 #: sort_keys=True)`` for REQ1 (500 ms) on the case-study PSM, as
 #: produced by the seed implementation's parent-dict traces (identical
-#: on the reference, numpy and native backends).
+#: on the reference and native backends).
 REQ1_DIGEST = \
     "5cd384a0e1d0afbc980c315ef531f6b2d1c5a59813da75dcba731a3bb8670fbb"
 REQ1_TRACE_LEN = 155
@@ -141,7 +142,7 @@ def _trials(count, seed=20151009):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_plan_step_lockstep_against_reference(backend):
-    """Every backend's plan step matches the reference replay, and a
+    """Each backend's plan step matches the reference replay, and a
     deferred error raises exactly when the guarded zone is non-empty."""
     dbm = resolve_backend(backend).dbm
     scratches: dict[int, ZoneMatrix] = {}

@@ -223,7 +223,7 @@ class TestBatchBitIdentity:
         pool.append(traces[1])
         return pool
 
-    @pytest.mark.parametrize("backend", ["numpy", "native"])
+    @pytest.mark.parametrize("backend", ["native"])
     def test_batch_equals_sequential(self, tiny, streams, backend):
         if backend not in available_backends():
             pytest.skip(f"{backend} backend unavailable")
@@ -257,7 +257,7 @@ class TestBatchBitIdentity:
         assert not runner.vectorized
         assert runner.feed([streams[0], streams[5]])
 
-    def test_forced_vectorized_needs_numpy_backend(self, tiny):
+    def test_forced_vectorized_needs_native_backend(self, tiny):
         _, _, psm = tiny
         model = MonitorModel(psm, zone_backend="reference")
         with pytest.raises(MonitorError, match="vectorized"):
@@ -266,10 +266,10 @@ class TestBatchBitIdentity:
     def test_duplicate_session_in_batch_rejected(self, tiny):
         # Only the vectorized path has the one-event-per-session rule
         # (scalar stepping just consumes them in order).
-        if "numpy" not in available_backends():
-            pytest.skip("numpy backend unavailable")
+        if "native" not in available_backends():
+            pytest.skip("native backend unavailable")
         _, _, psm = tiny
-        model = MonitorModel(psm, zone_backend="numpy")
+        model = MonitorModel(psm, zone_backend="native")
         model.precompile()
         runner = BatchMonitor(model, 2, vectorized=True)
         event = TraceEvent(1_000, "m", "m_Req")

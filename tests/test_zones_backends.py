@@ -1,19 +1,18 @@
-"""Differential tests: every zone backend against the reference.
+"""Differential tests: the native zone backend against the reference.
 
-Random operation sequences are driven through the reference, numpy and
-(when built) native backends in lockstep; after every step all
-matrices must agree bit for bit — same ``frozen()`` snapshot, same
-emptiness verdict, same hash.  Once a zone turns empty only the
-verdict is compared (the incremental-closure order on inconsistent
-matrices is implementation-defined; emptiness is sticky in every
-backend).
+Random operation sequences are driven through the reference and (when
+built) native backends in lockstep; after every step both matrices
+must agree bit for bit — same ``frozen()`` snapshot, same emptiness
+verdict, same hash.  Once a zone turns empty only the verdict is
+compared (the incremental-closure order on inconsistent matrices is
+implementation-defined; emptiness is sticky in every backend).
 
-Also covers the batched wave pipeline (``BatchExpander`` vs the
-compiled ``NativeBatchExpander``), the backend registry (selection
-rules, env var, aliases, hint-driven ``auto``) and the passed-list
-buckets that pair with each backend.  The native backend is optional:
-everything here skips or adapts cleanly when the C extension is not
-built.
+Also covers the batched plan pipeline (``NativeBatchExpander.run_plan``
+against per-element reference ``apply_plan``), the backend registry
+(selection rules, env var, aliases, the ``auto`` clock-limit fallback,
+the rejected ``numpy`` name) and the passed-list buckets that pair with
+each backend.  The native backend is optional: everything here skips
+or adapts cleanly when the C extension is not built.
 """
 
 from __future__ import annotations
@@ -23,12 +22,12 @@ from types import SimpleNamespace
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.zones.backend as backend_mod
+from repro.envvars import EnvVarError
+from repro.ta.model import ModelError
 from repro.zones.backend import (
     available_backends,
     requested_backend,
@@ -36,18 +35,20 @@ from repro.zones.backend import (
     set_backend,
 )
 from repro.zones.bounds import encode
-from repro.zones.costmodel import BackendHint, choose_backend
 from repro.zones.dbm import DBM
-from repro.zones.dbm_numpy import NumpyDBM
 from repro.zones.store import NumpyPassedBucket, ReferencePassedBucket
 
 try:
-    from repro.zones.dbm_native import NativeBatchExpander, NativeDBM
-except ImportError:  # extension not built in this checkout
-    NativeBatchExpander = NativeDBM = None
+    from repro.zones.dbm_native import (
+        MAX_CLOCKS,
+        NativeBatchExpander,
+        NativeDBM,
+    )
+except ImportError:  # numpy or the compiled extension missing
+    MAX_CLOCKS = NativeBatchExpander = NativeDBM = None
 
 HAVE_NATIVE = NativeDBM is not None
-BACKEND_CLASSES = [DBM, NumpyDBM] + ([NativeDBM] if HAVE_NATIVE else [])
+BACKEND_CLASSES = [DBM] + ([NativeDBM] if HAVE_NATIVE else [])
 
 needs_native = pytest.mark.skipif(
     not HAVE_NATIVE, reason="native zone backend not built")
@@ -140,18 +141,21 @@ def _assert_lockstep(ops, start):
             assert other.includes(reference)
 
 
+@needs_native
 @settings(max_examples=120, deadline=None)
 @given(st.lists(_op_strategy(), min_size=1, max_size=24))
 def test_backends_agree_from_zero(ops):
     _assert_lockstep(ops, lambda cls: cls.zero(SIZE))
 
 
+@needs_native
 @settings(max_examples=120, deadline=None)
 @given(st.lists(_op_strategy(), min_size=1, max_size=24))
 def test_backends_agree_from_universal(ops):
     _assert_lockstep(ops, lambda cls: cls.universal(SIZE))
 
 
+@needs_native
 def test_backends_agree_long_random_walk():
     """Seeded high-volume sweep complementing the hypothesis runs."""
     rng = random.Random(2015)
@@ -209,21 +213,11 @@ def test_cross_backend_comparisons():
             assert a == b and b == a
             assert a.includes(b) and b.includes(a)
             assert a.intersects(b) and b.intersects(a)
-    wider = NumpyDBM.universal(3)
-    for a in zones:
-        assert wider.includes(a)
-        assert not a.includes(wider)
-
-
-def test_numpy_roundtrip_and_sampling():
-    zone = NumpyDBM.universal(3)
-    zone.constrain(1, 0, encode(10, True))
-    zone.constrain(0, 1, encode(-3, True))
-    again = NumpyDBM.from_frozen(3, zone.frozen())
-    assert again == zone
-    point = zone.sample_point()
-    assert point is not None and zone.contains_point(point)
-    assert DBM.from_frozen(3, zone.frozen()) == zone
+    for cls in BACKEND_CLASSES:
+        wider = cls.universal(3)
+        for a in zones:
+            assert wider.includes(a)
+            assert not a.includes(wider)
 
 
 @needs_native
@@ -237,6 +231,7 @@ def test_native_copy_and_roundtrip_stay_native():
     assert type(again) is NativeDBM and again == zone
     point = zone.sample_point()
     assert point is not None and zone.contains_point(point)
+    assert DBM.from_frozen(3, zone.frozen()) == zone
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +263,8 @@ def _random_plan(rng, n, max_const):
                            for _ in range(n - 1)]))
     return SimpleNamespace(
         guard_ops=some_ops(rng.randint(0, 3)),
-        error="boom" if rng.random() < 0.1 else None,
+        error=(ModelError("v = 3 outside [0, 2]")
+               if rng.random() < 0.1 else None),
         zone_ops=tuple(zone_ops),
         free_clocks=tuple(rng.sample(range(1, n),
                                      rng.randint(0, n - 1))),
@@ -279,45 +275,58 @@ def _random_plan(rng, n, max_const):
 
 @needs_native
 def test_batched_wave_lockstep():
-    """BatchExpander and NativeBatchExpander agree element for element.
+    """``NativeBatchExpander.run_plan`` against per-element reference
+    ``apply_plan``.
 
-    Dead elements may hold garbage (both pipelines stop writing them at
-    different points by design), so only the alive mask and the live
-    rows are compared — exactly the contract the batched monitor
-    consumes.
+    Every live lane must match the reference survivor bit for bit and
+    every lane the reference kills must come back dead.  Lanes passed
+    in dead stay dead.  For a deferred-error plan the alive mask flags
+    exactly the lanes whose reference step raises.  Dead lanes may hold
+    garbage, so only the mask and the live rows are compared — the
+    contract the batched monitor consumes.
     """
-    from repro.zones.batch import BatchExpander
+    import numpy as np
 
     rng = random.Random(20150309)
+    seen = {"alive": 0, "killed": 0, "dead input": 0, "raise": 0,
+            "error suppressed": 0}
     for trial in range(150):
         n = rng.randint(2, 6)
         max_consts = tuple(rng.randint(0, 6) for _ in range(n))
-        batch = rng.randint(1, 9)
-        stack = []
-        for _ in range(batch):
-            zone = NumpyDBM.zero(n)
-            for _ in range(rng.randint(0, 6)):
-                i, j = rng.sample(range(n), 2)
-                zone.constrain(i, j, encode(rng.randint(0, 8), True))
-                if zone.is_empty():
-                    zone = NumpyDBM.zero(n)
-            zone.up()
-            stack.append(zone._m)
-        src = np.stack(stack)
+        sources = [_random_zone(DBM, rng, n)
+                   for _ in range(rng.randint(1, 9))]
         plan = _random_plan(rng, n, 6)
-        ref = BatchExpander(n, max_consts)
-        nat = NativeBatchExpander(n, max_consts)
-        ref_work, ref_alive = ref.run_plan(src, plan)
-        nat_work, nat_alive = nat.run_plan(src, plan)
-        assert (ref_alive == nat_alive).all(), (trial, plan)
-        if plan.error is not None:
-            # Error plans stop at the guard; the consumer only reads
-            # ``alive`` (the numpy pipeline may return the partially
-            # guarded stack instead of None when every element died
-            # before the error check — contractually equivalent).
-            continue
-        live = np.flatnonzero(ref_alive)
-        assert (ref_work[live] == nat_work[live]).all(), (trial, plan)
+        alive_in = [rng.random() < 0.85 for _ in sources]
+        stack = np.stack([NativeDBM.from_frozen(n, src.frozen())._m
+                          for src in sources])
+        before = stack.copy()
+        work, alive = NativeBatchExpander(n, max_consts).run_plan(
+            stack, plan, alive_in)
+        assert (stack == before).all()  # the input is never written
+        scratch = DBM.zero(n)
+        for lane, src in enumerate(sources):
+            if not alive_in[lane]:
+                assert not alive[lane], (trial, lane)
+                seen["dead input"] += 1
+                continue
+            try:
+                expected = src.apply_plan(plan, max_consts, scratch)
+            except ModelError:
+                assert work is None and alive[lane], (trial, lane)
+                seen["raise"] += 1
+                continue
+            if plan.error is not None:
+                assert work is None and not alive[lane], (trial, lane)
+                seen["error suppressed"] += 1
+            elif expected is None:
+                assert not alive[lane], (trial, lane)
+                seen["killed"] += 1
+            else:
+                assert alive[lane], (trial, lane)
+                assert tuple(work[lane].ravel().tolist()) == \
+                    expected.frozen(), (trial, lane, plan)
+                seen["alive"] += 1
+    assert all(seen.values()), seen
 
 
 # ----------------------------------------------------------------------
@@ -333,50 +342,28 @@ def _random_zone(cls, rng, n):
     return zone
 
 
+@needs_native
 def test_buckets_agree_with_reference():
     rng = random.Random(7)
     n = 4
     for _ in range(60):
         ref_bucket = ReferencePassedBucket()
-        np_bucket = NumpyPassedBucket()
+        nat_bucket = NumpyPassedBucket()
         for step in range(rng.randint(1, 20)):
             seed_state = rng.getstate()
             ref_zone = _random_zone(DBM, rng, n)
             rng.setstate(seed_state)
-            np_zone = _random_zone(NumpyDBM, rng, n)
-            assert ref_zone == np_zone
+            nat_zone = _random_zone(NativeDBM, rng, n)
+            assert ref_zone == nat_zone
             assert ref_bucket.covers(ref_zone) == \
-                np_bucket.covers(np_zone)
+                nat_bucket.covers(nat_zone)
             if ref_bucket.covers(ref_zone):
                 continue
             ref_evicted = ref_bucket.insert(ref_zone, f"e{step}")
-            np_evicted = np_bucket.insert(np_zone, f"e{step}")
-            assert ref_evicted == np_evicted
-            assert len(ref_bucket) == len(np_bucket)
-            assert ref_bucket.entries == np_bucket.entries
-
-
-@needs_native
-def test_buckets_accept_native_zones():
-    """The numpy bucket treats native zones exactly like numpy ones."""
-    rng = random.Random(11)
-    n = 4
-    for _ in range(20):
-        np_bucket = NumpyPassedBucket()
-        nat_bucket = NumpyPassedBucket()
-        for step in range(rng.randint(1, 15)):
-            seed_state = rng.getstate()
-            np_zone = _random_zone(NumpyDBM, rng, n)
-            rng.setstate(seed_state)
-            nat_zone = _random_zone(NativeDBM, rng, n)
-            assert np_zone == nat_zone
-            assert np_bucket.covers(np_zone) == \
-                nat_bucket.covers(nat_zone)
-            if np_bucket.covers(np_zone):
-                continue
-            assert np_bucket.insert(np_zone, f"e{step}") == \
-                nat_bucket.insert(nat_zone, f"e{step}")
-            assert np_bucket.entries == nat_bucket.entries
+            nat_evicted = nat_bucket.insert(nat_zone, f"e{step}")
+            assert ref_evicted == nat_evicted
+            assert len(ref_bucket) == len(nat_bucket)
+            assert ref_bucket.entries == nat_bucket.entries
 
 
 # ----------------------------------------------------------------------
@@ -384,28 +371,56 @@ def test_buckets_accept_native_zones():
 # ----------------------------------------------------------------------
 def test_available_backends_reference_first():
     backends = available_backends()
-    assert backends[:2] == ("reference", "numpy")
     # The native backend is optional (requires the built C extension);
     # whichever way this checkout was built, the registry must agree
     # with what is actually importable.
-    assert set(backends) - {"reference", "numpy"} <= {"native"}
-    assert ("native" in backends) == HAVE_NATIVE
+    assert backends == (("reference", "native") if HAVE_NATIVE
+                        else ("reference",))
 
 
 def test_resolve_names_and_aliases():
-    assert resolve_backend("numpy").dbm is NumpyDBM
     for alias in ("reference", "python", "list"):
         assert resolve_backend(alias).dbm is DBM
-    # No-hint auto prefers native > numpy > reference.
-    expected = NativeDBM if HAVE_NATIVE else NumpyDBM
+    expected = NativeDBM if HAVE_NATIVE else DBM
     assert resolve_backend("auto").dbm is expected
     assert requested_backend("c") == "native"
     assert requested_backend("python") == "reference"
     assert requested_backend("auto") == "auto"
-    with pytest.raises(ValueError, match="unknown zone backend"):
-        resolve_backend("fortran")
-    with pytest.raises(ValueError, match="unknown zone backend"):
-        requested_backend("fortran")
+    for name in ("fortran", "numpy"):
+        with pytest.raises(ValueError, match="unknown zone backend"):
+            resolve_backend(name)
+        with pytest.raises(ValueError, match="unknown zone backend"):
+            requested_backend(name)
+        with pytest.raises(ValueError, match="unknown zone backend"):
+            set_backend(name)
+
+
+def test_numpy_backend_name_is_rejected(monkeypatch, capsys):
+    """The removed ``numpy`` backend is an unknown name everywhere, and
+    each rejection lists the valid choices."""
+    from repro.cli import build_parser, main
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--zone-backend", "numpy", "scheme"])
+    err = capsys.readouterr().err
+    assert "invalid choice: 'numpy'" in err
+    for choice in ("auto", "reference", "native"):
+        assert repr(choice) in err
+
+    with pytest.raises(ValueError) as exc:
+        set_backend("numpy")
+    assert "choose from: auto, reference" in str(exc.value)
+
+    monkeypatch.setattr(backend_mod, "_forced", None)
+    monkeypatch.setenv("REPRO_ZONE_BACKEND", "numpy")
+    with pytest.raises(EnvVarError) as exc:
+        requested_backend()
+    message = str(exc.value)
+    assert "'numpy'" in message and "numpy," not in message
+    for choice in ("auto", "reference", "native"):
+        assert choice in message
+    assert main(["scheme"]) == 1
+    assert "REPRO_ZONE_BACKEND" in capsys.readouterr().err
 
 
 @needs_native
@@ -421,8 +436,8 @@ def test_native_unbuilt_fallback(monkeypatch):
         raise ImportError("extension not built")
 
     monkeypatch.setattr(backend_mod, "_load_native", boom)
-    assert "native" not in available_backends()
-    assert resolve_backend("auto").dbm is NumpyDBM
+    assert available_backends() == ("reference",)
+    assert resolve_backend("auto").dbm is DBM
     with pytest.raises(RuntimeError, match="build_ext"):
         resolve_backend("native")
 
@@ -431,10 +446,10 @@ def test_env_var_and_forced_selection(monkeypatch):
     auto_dbm = resolve_backend("auto").dbm
     monkeypatch.setenv("REPRO_ZONE_BACKEND", "reference")
     assert resolve_backend().dbm is DBM
-    set_backend("numpy")
+    set_backend("c" if HAVE_NATIVE else "auto")
     try:
         # A forced backend wins over the environment variable.
-        assert resolve_backend().dbm is NumpyDBM
+        assert resolve_backend().dbm is auto_dbm
     finally:
         set_backend(None)
     assert resolve_backend().dbm is DBM
@@ -445,39 +460,40 @@ def test_env_var_and_forced_selection(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# auto: hint-driven selection (the wrong-default regression guard)
+# auto: native when built and the model fits, else reference
 # ----------------------------------------------------------------------
-def test_auto_hints_pick_cheap_backend_for_tiny_models(monkeypatch):
-    """Structural-size guard: without native, tiny models must run on
-    the reference backend (BENCH_20260808: numpy was 2.4x slower on
-    `bench_portfolio_tiny` at jobs=1) while case-study-scale models
-    stay on numpy."""
-    from repro.core.transform import transform
+def _wide_network(n_clocks):
+    """One automaton over ``n_clocks`` clocks, every one reset and read."""
+    from repro.ta.builder import NetworkBuilder
+
+    clocks = [f"x{k}" for k in range(n_clocks)]
+    builder = NetworkBuilder("wide")
+    auto = builder.automaton("W", clocks=clocks)
+    auto.location("A", invariant="x0 <= 2", initial=True)
+    auto.location("B", invariant="x0 <= 2")
+    auto.edge("A", "B", guard=" && ".join(f"{x} >= 1" for x in clocks),
+              update=", ".join(f"{x} = 0" for x in clocks))
+    auto.edge("B", "A", guard="x0 >= 1", update="x0 = 0")
+    return builder.build()
+
+
+@needs_native
+def test_auto_falls_back_to_reference_past_native_clock_limit():
+    """A model wider than the native kernel explores under ``auto`` on
+    reference; an explicit ``native`` still fails with its clear error."""
     from repro.mc.explorer import ZoneGraphExplorer
-    from tests.conftest import build_tiny_pim, build_tiny_scheme
 
-    tiny = transform(build_tiny_pim(), build_tiny_scheme()).network
-    structural = sum(len(a.locations) + len(a.edges)
-                     for a in tiny.automata)
-    tiny_hint = BackendHint(n_clocks=7, structural_size=structural)
-    case_hint = BackendHint(n_clocks=11, structural_size=80)
-    # Pure cost-model level, native absent:
-    assert choose_backend(("reference", "numpy"), tiny_hint) == \
-        "reference"
-    assert choose_backend(("reference", "numpy"), case_hint) == "numpy"
-    # Native available: it wins everywhere.
-    assert choose_backend(("reference", "numpy", "native"),
-                          tiny_hint) == "native"
-    assert choose_backend(("reference", "numpy", "native"),
-                          case_hint) == "native"
-
-    # End to end through the explorer, with native masked out:
-    def boom():
-        raise ImportError("extension not built")
-
-    monkeypatch.setattr(backend_mod, "_load_native", boom)
-    explorer = ZoneGraphExplorer(tiny, zone_backend="auto")
+    assert resolve_backend("auto", n_clocks=MAX_CLOCKS).name == "native"
+    assert resolve_backend("auto", n_clocks=70).name == "reference"
+    assert resolve_backend("reference", n_clocks=70).name == "reference"
+    network = _wide_network(MAX_CLOCKS + 1)
+    explorer = ZoneGraphExplorer(network, zone_backend="auto")
+    assert explorer.compiled.n_clocks == MAX_CLOCKS + 2
     assert explorer.backend.name == "reference"
+    result = explorer.explore()
+    assert result.complete and result.visited >= 2
+    with pytest.raises(ValueError, match="supports up to 64 clocks"):
+        ZoneGraphExplorer(network, zone_backend="native").explore()
 
 
 @needs_native

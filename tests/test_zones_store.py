@@ -1,15 +1,12 @@
-"""Passed-bucket invariants: scans, envelopes, compaction, batches.
+"""Passed-bucket invariants: scans, compaction, batches.
 
-The numpy bucket scans its row stack in C when the extension is
-built and with numpy broadcasts otherwise; both must agree with the
-reference bucket step for step — covers verdicts, evicted entries and
-their order, sizes and surviving rows.  The broadcast fallback's
-eviction path must compact the stack *and* recompute the min/max
-envelopes from the surviving rows (stale envelope contributions from
-evicted rows degrade the prefilters to always-pass).  ``commit_batch``
-must be observationally identical to the sequential
-``covers``/``insert`` loop, including which waiting entries it kills.
-The C scans must reject malformed buffers with ``ValueError``.
+The native backend's row-stack bucket scans its ``(capacity, n²)``
+stack in C; it must agree with the reference bucket step for step —
+covers verdicts, evicted entries and their order, sizes and surviving
+rows.  ``commit_batch`` must be observationally identical to the
+sequential ``covers``/``insert`` loop, including which waiting entries
+it kills.  The C scans must reject malformed buffers with
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -60,58 +57,32 @@ def _bucket_rows(bucket):
 
 
 @pytest.fixture
-def numpy_backend():
-    if "numpy" not in BACKENDS:
-        pytest.skip("numpy backend unavailable")
-    return resolve_backend("numpy")
+def native_backend():
+    if "native" not in BACKENDS:
+        pytest.skip("native zone backend not built")
+    return resolve_backend("native")
 
 
 @pytest.fixture
-def numpy_fallback(numpy_backend, monkeypatch):
-    """The numpy backend with the broadcast scans forced."""
-    monkeypatch.setattr(store, "_native_scan", lambda: None)
-    return numpy_backend
+def kernel(native_backend):
+    from repro.zones.dbm_native import _k
+    return _k
 
 
-@pytest.fixture
-def kernel():
-    scan = store._native_scan()
-    if scan is None:
-        pytest.skip("native kernel not built")
-    return scan
-
-
-class TestEnvelopes:
-    def test_eviction_recomputes_envelopes(self, numpy_fallback):
-        dbm = numpy_fallback.dbm
-        bucket = numpy_fallback.bucket()
-        small = dbm.universal(3).constrain(1, 0, 11)
-        other = dbm.universal(3).constrain(2, 0, 7)
-        big = dbm.universal(3).constrain(1, 0, 21)
-        bucket.insert(small, Entry("small"))
-        bucket.insert(other, Entry("other"))
-        evicted = bucket.insert(big, Entry("big"))
-        assert [e.tag for e in evicted] == ["small"]
-        assert len(bucket) == 2
-        # Envelopes are exactly the max/min of the LIVE rows — no
-        # stale contribution from the evicted one.
-        live = bucket._stack[:bucket._count]
-        assert (bucket._upper == live.max(axis=0)).all()
-        assert (bucket._lower == live.min(axis=0)).all()
-
-    def test_covers_after_eviction(self, numpy_backend):
-        dbm = numpy_backend.dbm
-        bucket = numpy_backend.bucket()
+class TestEviction:
+    def test_covers_after_eviction(self, native_backend):
+        dbm = native_backend.dbm
+        bucket = native_backend.bucket()
         bucket.insert(dbm.universal(3).constrain(1, 0, 11), Entry(0))
         bucket.insert(dbm.universal(3).constrain(1, 0, 21), Entry(1))
         assert bucket.covers(dbm.universal(3).constrain(1, 0, 7))
         assert not bucket.covers(dbm.universal(3))
 
 
-def test_huge_bound_stored_exactly(numpy_backend):
+def test_huge_bound_stored_exactly(native_backend):
     """Bounds beyond 32 bits commit and round-trip through the stack."""
-    dbm = numpy_backend.dbm
-    bucket = numpy_backend.bucket()
+    dbm = native_backend.dbm
+    bucket = native_backend.bucket()
     huge = dbm.zero(2).up().constrain(1, 0, (1 << 31) + 7)
     row = huge._m.reshape(1, -1)
     assert bucket.commit_batch(row.copy(), [Entry(0)]) == [True]
@@ -151,9 +122,8 @@ def test_commit_batch_matches_sequential(backend, seed):
         end = {0: 7, 7: 15, 15: len(zones)}[start]
         chunk = zones[start:end]
         entries = batch_entries[start:end]
-        if backend in ("numpy", "native"):
-            # Both ride the row-stack bucket (native stores the same
-            # int64 matrix as numpy).
+        if backend == "native":
+            # The row-stack bucket commits (C, n²) row snapshots.
             rows = numpy.stack([z._m.reshape(-1) for z in chunk])
             flags.extend(batched.commit_batch(rows, entries))
         else:
@@ -162,7 +132,7 @@ def test_commit_batch_matches_sequential(backend, seed):
     assert flags == expected_flags
     assert [e.alive for e in batch_entries] == \
         [e.alive for e in seq_entries]
-    if backend in ("numpy", "native"):
+    if backend == "native":
         assert _bucket_rows(batched) == [
             tuple(row) for row in sequential._stack[:len(sequential)]
             .tolist()]
@@ -170,22 +140,17 @@ def test_commit_batch_matches_sequential(backend, seed):
         assert batched._rows == sequential._rows
 
 
-# -- three-way lockstep: reference, numpy + C scan, numpy fallback ------
+# -- two-way lockstep: reference vs the native row stack ----------------
 
-def _lockstep_buckets(monkeypatch):
-    """``(name, bucket, zone converter)`` for every available scan."""
-    from repro.zones.dbm_numpy import NumpyDBM
+def _lockstep_buckets():
+    """``(name, bucket, zone converter)`` for both backends."""
+    from repro.zones.dbm_native import NativeDBM
 
-    def as_numpy(zone):
-        return NumpyDBM(zone.size, _m=list(zone._m))
+    def as_native(zone):
+        return NativeDBM(zone.size, _m=list(zone._m))
 
-    buckets = [("reference", store.ReferencePassedBucket(), None)]
-    if store._native_scan() is not None:
-        buckets.append(("c-scan", store.NumpyPassedBucket(), as_numpy))
-    with monkeypatch.context() as patch:
-        patch.setattr(store, "_native_scan", lambda: None)
-        buckets.append(("fallback", store.NumpyPassedBucket(), as_numpy))
-    return buckets
+    return [("reference", store.ReferencePassedBucket(), None),
+            ("native", store.NumpyPassedBucket(), as_native)]
 
 
 def _surviving_rows(bucket):
@@ -230,7 +195,7 @@ def _run_lockstep(buckets, steps):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_store_ops_lockstep(numpy_backend, monkeypatch, seed):
+def test_store_ops_lockstep(native_backend, seed):
     """Seeded random covers/insert sequences, including duplicate
     zones (re-inserted without a covers check) and growth past the
     initial capacity of 4."""
@@ -242,13 +207,12 @@ def test_store_ops_lockstep(numpy_backend, monkeypatch, seed):
             pool.append(zone)
     steps = [(rng.choice(("covers", "insert")), rng.choice(pool))
              for _ in range(160)]
-    buckets = _lockstep_buckets(monkeypatch)
+    buckets = _lockstep_buckets()
     _run_lockstep(buckets, steps)
     assert any(INF in row for row in _surviving_rows(buckets[0][1]))
 
 
-def test_store_ops_lockstep_multi_eviction_and_growth(numpy_backend,
-                                                      monkeypatch):
+def test_store_ops_lockstep_multi_eviction_and_growth(native_backend):
     """Six incomparable zones outgrow capacity 4; a duplicate is
     evicted by its twin; then one wide zone evicts several rows while
     an incomparable one survives."""
@@ -260,7 +224,7 @@ def test_store_ops_lockstep_multi_eviction_and_growth(numpy_backend,
     steps += [("insert", narrow[2]), ("insert", other),
               ("covers", narrow[0]), ("covers", wide),
               ("insert", wide), ("covers", narrow[3])]
-    buckets = _lockstep_buckets(monkeypatch)
+    buckets = _lockstep_buckets()
     _run_lockstep(buckets, steps)
     reference = buckets[0][1]
     assert [e.tag for e in reference.entries] == [7, 10]
@@ -328,8 +292,8 @@ class TestScanValidation:
 # -- stale in-place builds -------------------------------------------------
 
 def test_stale_kernel_build_is_refused(monkeypatch):
-    """An extension older than the wrapper drops ``native`` (and the C
-    scans) through the ImportError fallback."""
+    """An extension older than the wrapper drops ``native`` through the
+    ImportError fallback."""
     stale = types.ModuleType("repro.zones._dbmkernel")
     stale.KERNEL_VERSION = 1
     monkeypatch.setitem(sys.modules, "repro.zones._dbmkernel", stale)
@@ -338,6 +302,6 @@ def test_stale_kernel_build_is_refused(monkeypatch):
                         raising=False)
     with pytest.raises(ImportError, match="stale build"):
         importlib.import_module("repro.zones.dbm_native")
-    assert store._native_scan.__wrapped__() is None
     monkeypatch.setattr(backend, "_native_backend", None)
-    assert "native" not in available_backends()
+    assert available_backends() == ("reference",)
+    assert resolve_backend("auto").name == "reference"
