@@ -14,12 +14,6 @@ from repro.core.psm import PSM
 __all__ = ["render_blocks"]
 
 
-def _box(lines: list[str], width: int) -> list[str]:
-    top = "+" + "-" * (width + 2) + "+"
-    body = [f"| {line:<{width}} |" for line in lines]
-    return [top] + body + [top]
-
-
 def render_blocks(psm: PSM) -> str:
     """ASCII Fig. 2 for a concrete PSM."""
     inputs = ", ".join(psm.pim.input_channels())
@@ -29,7 +23,6 @@ def render_blocks(psm: PSM) -> str:
     io_out = ", ".join(psm.io_name(ch)
                        for ch in psm.pim.output_channels())
 
-    width = max(46, len(inputs) + 12, len(outputs) + 12)
     impl = [
         "(a) Implementation",
         "",

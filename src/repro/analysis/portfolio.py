@@ -177,8 +177,7 @@ def render_portfolio(outcome: "PortfolioOutcome", *,
     lines.extend(line(row) for row in rows)
     lines.append(sep)
     lines.append(
-        f"workers={outcome.jobs or 'inline'}"
-        f"{' fused' if outcome.fused else ''} "
+        f"workers={outcome.jobs or 'inline'} "
         f"wall={outcome.wall_seconds:.2f}s")
     if outcome.reuse or outcome.pruned:
         lines.append(

@@ -13,6 +13,12 @@ way Section VI does:
 6. also check whether the *original* deadline survives on the PSM
    (in the case study it does not: ``PSM ⊭ P(500)``).
 
+Steps 5 and 6 — and, on request, the three Lemma-1 delay suprema —
+are answered by **one** shared exploration of the PSM
+(:meth:`TimingVerificationFramework.psm_sweep`); each deadline's
+counterexample is projected onto its own observer, so it reads exactly
+as a standalone ``P(Δ)`` check's.
+
 The resulting :class:`VerificationReport` carries every verified
 number Table I's upper row needs.
 
@@ -43,8 +49,19 @@ from repro.mc.observers import (
     DelayBound,
     check_bounded_response,
 )
+from repro.mc.queries import (
+    BatchOutcome,
+    BoundedResponseQuery,
+    ResponseSupQuery,
+    check_many,
+)
 
-__all__ = ["TimingVerificationFramework", "VerificationReport"]
+__all__ = ["SUPREMA", "TimingVerificationFramework", "VerificationReport"]
+
+#: The Lemma-1 delay suprema ``measure_suprema`` reports, in the order
+#: :meth:`TimingVerificationFramework.verify_psm_deadlines` measures
+#: them: m→i, o→c and m→c.
+SUPREMA = ("Input-Delay", "Output-Delay", "M-C delay")
 
 
 @dataclass
@@ -183,45 +200,65 @@ class TimingVerificationFramework:
 
     def verify_psm_deadlines(self, psm: PSM, input_channel: str,
                              output_channel: str,
-                             deadlines_ms: list[int],
-                             ) -> list[BoundedResponseResult]:
-        """Steps 5+6 fused: every deadline from one shared sweep."""
-        from repro.mc.queries import BoundedResponseQuery, check_many
+                             deadlines_ms: Sequence[int], *,
+                             measure_suprema: bool = False,
+                             track_maxima: Sequence = (),
+                             ) -> BatchOutcome:
+        """Steps 5+6: every deadline from one shared sweep.
 
-        outcome = check_many(
-            psm.network,
-            [BoundedResponseQuery(input_channel, output_channel,
-                                  deadline)
-             for deadline in deadlines_ms],
-            max_states=self.max_states,
-            abstraction=self.abstraction)
-        return list(outcome.results)
+        With ``measure_suprema`` the same sweep also measures the
+        three :data:`SUPREMA`.  Results come in query order: one
+        :class:`BoundedResponseResult` per deadline, then the three
+        :class:`DelayBound` values.  The deadline queries come first,
+        so the (m, c) pair owns the unsuffixed observer names its
+        counterexample mentions.  ``track_maxima`` is
+        :func:`~repro.mc.queries.check_many`'s read-only watch list.
+        """
+        queries: list[object] = [
+            BoundedResponseQuery(input_channel, output_channel, deadline)
+            for deadline in deadlines_ms]
+        if measure_suprema:
+            queries += [
+                ResponseSupQuery(input_channel,
+                                 psm.io_name(input_channel)),
+                ResponseSupQuery(psm.io_name(output_channel),
+                                 output_channel),
+                ResponseSupQuery(input_channel, output_channel)]
+        return check_many(psm.network, queries,
+                          max_states=self.max_states,
+                          abstraction=self.abstraction,
+                          track_maxima=track_maxima)
 
     def measure_psm(self, psm: PSM, input_channel: str,
                     output_channel: str) -> dict[str, DelayBound]:
-        """Exact suprema on the PSM (diagnostics / Lemma-1 validation).
+        """Exact suprema on the PSM alone (Lemma-1 validation).
 
         The three sups share one multi-observer exploration; values
         are identical to the individual :func:`max_response_delay`
         runs in :mod:`repro.core.delays`.
         """
-        from repro.mc.queries import ResponseSupQuery, check_many
+        outcome = self.verify_psm_deadlines(
+            psm, input_channel, output_channel, [],
+            measure_suprema=True)
+        return dict(zip(SUPREMA, outcome))
 
-        outcome = check_many(
-            psm.network,
-            [ResponseSupQuery(input_channel,
-                              psm.io_name(input_channel)),
-             ResponseSupQuery(psm.io_name(output_channel),
-                              output_channel),
-             ResponseSupQuery(input_channel, output_channel)],
-            trace=False, max_states=self.max_states,
-            abstraction=self.abstraction)
-        input_sup, output_sup, mc_sup = outcome.results
-        return {
-            "Input-Delay": input_sup,
-            "Output-Delay": output_sup,
-            "M-C delay": mc_sup,
-        }
+    def psm_sweep(self, report: VerificationReport, psm: PSM, *,
+                  measure_suprema: bool = False,
+                  track_maxima: Sequence = ()) -> BatchOutcome:
+        """Steps 5+6 (+ the suprema) into ``report``, one PSM sweep.
+
+        The one exploration :meth:`verify` and every portfolio job run
+        on the PSM after the constraint pass; ``report`` must already
+        carry its bounds (step 4).
+        """
+        outcome = self.verify_psm_deadlines(
+            psm, report.input_channel, report.output_channel,
+            [report.deadline_ms, report.bounds.relaxed],
+            measure_suprema=measure_suprema, track_maxima=track_maxima)
+        report.psm_original_result, report.psm_relaxed_result = \
+            outcome[:2]
+        report.symbolic = dict(zip(SUPREMA, outcome[2:]))
+        return outcome
 
     # ------------------------------------------------------------------
     def verify(self, pim: PIM, scheme: ImplementationScheme, *,
@@ -243,15 +280,7 @@ class TimingVerificationFramework:
             include_progress=include_progress)
         report.bounds = self.derive_bounds(
             pim, scheme, input_channel, output_channel)
-        # Steps 5 and 6 ask about the same (m, c) pair — one shared
-        # sweep answers both deadlines.
-        report.psm_original_result, report.psm_relaxed_result = \
-            self.verify_psm_deadlines(
-                psm, input_channel, output_channel,
-                [deadline_ms, report.bounds.relaxed])
-        if measure_suprema:
-            report.symbolic = self.measure_psm(
-                psm, input_channel, output_channel)
+        self.psm_sweep(report, psm, measure_suprema=measure_suprema)
         return report
 
     # ------------------------------------------------------------------
@@ -262,7 +291,6 @@ class TimingVerificationFramework:
                          min_interarrival_ms: int | None = None,
                          measure_suprema: bool = False,
                          include_progress: bool = False,
-                         fused: bool = False,
                          reuse: bool = False,
                          prune_dominated: bool = False,
                          on_result=None):
@@ -292,7 +320,7 @@ class TimingVerificationFramework:
         from repro.mc.portfolio import PortfolioVerifier
 
         verifier = PortfolioVerifier(
-            jobs=self.jobs, max_states=self.max_states, fused=fused,
+            jobs=self.jobs, max_states=self.max_states,
             abstraction=self.abstraction, reuse=reuse,
             prune_dominated=prune_dominated)
         return verifier.verify_schemes(

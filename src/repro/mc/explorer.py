@@ -31,10 +31,10 @@ Performance architecture (see ``docs/PERFORMANCE.md``):
   stored zones live in a bucket (:mod:`repro.zones.store`); with the
   C extension built, its inclusion and eviction scans run in C.
 * **Trace links by reference.**  With ``trace=True`` every stored
-  successor records ``(parent_state, label)`` on itself
+  successor records ``(parent_state, plan)`` on itself
   (:attr:`SymbolicState.link <repro.mc.state.SymbolicState.link>`);
-  :meth:`ZoneGraphExplorer.rebuild_trace` walks those links, so
-  tracing never snapshots a zone.
+  :meth:`ZoneGraphExplorer.rebuild_trace` walks those links and
+  renders the plans' labels, so tracing never snapshots a zone.
 * **Subsumption-aware waiting list** (opt-in ``lazy_subsumption``):
   when a newly stored zone evicts subsumed zones from the passed list,
   their waiting-list entries are marked dead and skipped on pop
@@ -55,7 +55,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Collection, Iterator, Mapping
 
 from repro.mc.state import CompiledEdge, CompiledNetwork, SymbolicState
 from repro.ta.model import ModelError, Network
@@ -127,16 +127,18 @@ class _MovePlan:
     ``(1, clock, source_clock)`` for a clock copy — the integer kinds
     the native kernel reads directly.  ``error`` carries a deferred
     range-check failure that the seed semantics raise only when the
-    guard-constrained zone is non-empty.
+    guard-constrained zone is non-empty.  ``move`` keeps the fired
+    edges, so a trace can re-render ``label`` with some update actions
+    hidden (:meth:`ZoneGraphExplorer.rebuild_trace`).
     """
 
     __slots__ = ("guard_ops", "zone_ops", "free_clocks", "invariant_ops",
                  "delay", "locs", "vals", "label", "error", "lu",
-                 "channel_idx")
+                 "channel_idx", "move")
 
     def __init__(self, guard_ops, zone_ops, free_clocks, invariant_ops,
                  delay, locs, vals, label, error, lu=None,
-                 channel_idx=None):
+                 channel_idx=None, move=()):
         self.guard_ops = guard_ops
         self.zone_ops = zone_ops
         self.free_clocks = free_clocks
@@ -152,6 +154,7 @@ class _MovePlan:
         #: Synchronization channel of the move (``None`` = internal) —
         #: the conformance monitor partitions plans on it.
         self.channel_idx = channel_idx
+        self.move = move
 
 
 class _WaitEntry:
@@ -335,7 +338,7 @@ class ZoneGraphExplorer:
             if error is not None:
                 plans.append(_MovePlan(
                     guard_ops, (), (), (), False, locs, vals, label,
-                    error, channel_idx=move[0].channel_idx))
+                    error, channel_idx=move[0].channel_idx, move=move))
                 continue
             new_locs = list(locs)
             for edge in move:
@@ -358,7 +361,7 @@ class ZoneGraphExplorer:
                 guard_ops, tuple(zone_ops), tuple(free_clocks),
                 invariant_ops, delay, locs2, vals2, label, None,
                 lu_for(locs2) if lu_for is not None else None,
-                channel_idx=move[0].channel_idx))
+                channel_idx=move[0].channel_idx, move=move))
         return plans
 
     def plans_for(self, key: tuple) -> list[_MovePlan]:
@@ -372,8 +375,9 @@ class ZoneGraphExplorer:
         return plans
 
     def successors(self, state: SymbolicState) \
-            -> Iterator[tuple[SymbolicState, str]]:
-        """All symbolic successors with their transition labels."""
+            -> Iterator[tuple[SymbolicState, _MovePlan]]:
+        """All symbolic successors with the plans that fired them
+        (``plan.label`` is the transition label)."""
         src = state.zone
         scratch = self._scratch
         max_consts = self.compiled.max_constants
@@ -386,14 +390,16 @@ class ZoneGraphExplorer:
                     f"{self.compiled.state_description(state)})"
                 ) from exc
             if zone is not None:
-                yield SymbolicState(plan.locs, plan.vals, zone), \
-                    plan.label
+                yield SymbolicState(plan.locs, plan.vals, zone), plan
 
     @staticmethod
-    def _move_label(move: tuple[CompiledEdge, ...]) -> str:
+    def _move_label(move: tuple[CompiledEdge, ...],
+                    hidden: Collection[str] = ()) -> str:
+        """``hidden`` names variables/clocks whose update actions the
+        label leaves out."""
         if len(move) == 1 and move[0].channel_idx is None:
-            return move[0].label()
-        return " || ".join(e.label() for e in move)
+            return move[0].label(hidden)
+        return " || ".join(e.label(hidden) for e in move)
 
     # ------------------------------------------------------------------
     def explore(
@@ -435,7 +441,7 @@ class ZoneGraphExplorer:
             if lazy and not entry.alive:
                 continue
             state = entry.state
-            for succ, label in self.successors(state):
+            for succ, plan in self.successors(state):
                 transitions += 1
                 key = succ.key()
                 bucket = passed.get(key)
@@ -453,7 +459,7 @@ class ZoneGraphExplorer:
                         f"exceeded {self.max_states} symbolic states "
                         f"exploring {self.network.name!r}")
                 if trace_on:
-                    succ.link = (state, label)
+                    succ.link = (state, plan)
                 if visit is not None:
                     visit(succ)
                 if stop is not None and stop(succ):
@@ -465,22 +471,26 @@ class ZoneGraphExplorer:
         return ExplorationResult(visited=stored, complete=True,
                                  transitions=transitions)
 
-    def rebuild_trace(self, state: SymbolicState) -> list[str] | None:
+    def rebuild_trace(self, state: SymbolicState,
+                      hidden: Collection[str] = ()) -> list[str] | None:
         """Transition labels from the initial state to ``state``.
 
         ``state`` is one stored during an :meth:`explore` call with
-        tracing on; the labels are read off the chain of trace links
-        (:attr:`SymbolicState.link`).  The query planner uses this to
-        extract one witness trace per observer from a single shared
-        sweep.  ``None`` when the explorer does not trace.
+        tracing on; the labels are rendered from the plans on the
+        chain of trace links (:attr:`SymbolicState.link`), leaving out
+        the update actions on the ``hidden`` variables and clocks.
+        The query planner uses this to extract one witness trace per
+        observer from a single shared sweep, each projected onto its
+        own observer.  ``None`` when the explorer does not trace.
         """
         if not self.trace_enabled:
             return None
         labels: list[str] = []
         link = state.link
         while link is not None:
-            state, label = link
-            labels.append(label)
+            state, plan = link
+            labels.append(self._move_label(plan.move, hidden)
+                          if hidden else plan.label)
             link = state.link
         labels.reverse()
         return labels

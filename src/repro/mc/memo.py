@@ -10,13 +10,14 @@ redundancy into reuse:
 * Jobs are keyed by the **canonical capacity-erased hash** of their
   compiled PSM network (:func:`repro.ta.rename.canonical_network`)
   plus every knob that can change a verdict — query channels,
-  deadlines, backend, abstraction, state budget, fused mode (the
-  portfolio builds the key; the memo stores whatever tuple it gets).
+  deadlines, backend, abstraction, state budget, suprema/progress
+  flags (the portfolio builds the key; the memo stores whatever tuple
+  it gets).
 * A completed job commits a :class:`MemoEntry` carrying its verified
   results **and an occupancy certificate**: the maximum value each
   capacity variable (and hence each erased comparison's left-hand
   sum) attained over the *complete* reachable state space of the
-  deadline sweep.
+  job's PSM sweep (steps 5+6, plus the suprema when measured).
 * A later job with the same key hits iff the erasure was semantically
   inert — either every erased literal matches the donor's exactly
   (the networks are syntactically identical), or the certificate
@@ -93,7 +94,7 @@ class MemoEntry:
     ``maxima`` maps each occupancy target — a tuple of the donor's
     *original* variable names, one per distinct erased left-hand
     side (:func:`occupancy_targets`) — to the maximum its sum
-    attained over the deadline sweep's complete reachable state
+    attained over the PSM sweep's complete reachable state
     space; ``None`` when the sweep stopped early (then only
     literal-identical candidates may reuse the entry).
     The result objects are the donor's own (immutable by convention);

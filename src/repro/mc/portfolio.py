@@ -32,17 +32,14 @@ along one path:
   submission index, so :meth:`PortfolioVerifier.run` returns them in
   job order no matter which worker finishes first.
 
-Bit-identity contract: in the default mode each job runs *exactly* the
-sweeps of :meth:`repro.core.framework.TimingVerificationFramework.verify`
-— same constraint pass, same fused step-5/6 deadline sweep, same
-optional suprema batch — so every bound, verdict, sup and per-sweep
-states/transitions tally equals the sequential per-scheme run, for
-every worker count and backend (``tests/test_portfolio.py`` pins the
-matrix).  ``fused=True`` additionally compiles each job's deadline and
-suprema queries into **one** :func:`~repro.mc.queries.check_many`
-sweep: verdicts, bounds and sup values are unchanged, but the tallies
-are those of the shared sweep (documented divergence, same as
-``check_many`` itself).
+Bit-identity contract: each job runs *exactly* the sweeps of
+:meth:`repro.core.framework.TimingVerificationFramework.verify` — the
+same constraint pass, then the same single PSM sweep
+(:meth:`~repro.core.framework.TimingVerificationFramework.psm_sweep`)
+answering steps 5+6 and, on request, the suprema — so every bound,
+verdict, witness, sup and per-sweep states/transitions tally equals
+the sequential per-scheme run, for every worker count and backend
+(``tests/test_portfolio.py`` pins the matrix).
 
 ``prune_dominated=True`` derives dominated grid points' Theorem-1
 verdicts from a verified neighbor along the Lemma-1-monotone axes
@@ -140,7 +137,7 @@ class PortfolioResult:
     #: Dominating neighbor this row's Theorem-1 verdict was derived
     #: from (``prune_dominated=True``); ``None`` = verdict explored.
     derived_from: str | None = None
-    #: Occupancy maxima of this job's own complete deadline sweep —
+    #: Occupancy maxima of this job's own complete PSM sweep —
     #: internal evidence a worker ships back so the parent can
     #: populate its memo (never serialized into :meth:`row`).
     occupancy: "dict[str, int] | None" = None
@@ -196,7 +193,7 @@ class PortfolioResult:
 
     @property
     def states(self) -> int | None:
-        """States of this job's PSM deadline sweep (steps 5+6).
+        """States of this job's PSM sweep (steps 5+6, + the suprema).
 
         A memoized row keeps its donor's tallies — the occupancy
         certificate makes the two zone graphs identical, so they *are*
@@ -267,7 +264,6 @@ class PortfolioOutcome:
     results: list[PortfolioResult] = field(default_factory=list)
     #: Resolved worker-process count (``None`` = every job inline).
     jobs: int | None = None
-    fused: bool = False
     wall_seconds: float = 0.0
     #: Whether the cross-scheme verdict memo was consulted.
     reuse: bool = False
@@ -335,11 +331,6 @@ class PortfolioVerifier:
     max_states:
         Default per-job exploration budget
         (:class:`PortfolioJob.max_states` overrides it per scheme).
-    fused:
-        Compile each job's deadline + suprema queries into one
-        :func:`~repro.mc.queries.check_many` sweep (identical verdicts
-        and sups; shared-sweep tallies).  Off by default so every row
-        is bit-identical to the per-scheme sequential ``verify``.
     abstraction:
         Extrapolation operator for every sweep of every job
         (``"extra_m"``/``"extra_lu"``; ``None`` defers to
@@ -376,14 +367,12 @@ class PortfolioVerifier:
 
     def __init__(self, *, jobs: int | None = None,
                  max_states: int = 1_000_000,
-                 fused: bool = False,
                  abstraction: str | None = None,
                  reuse: bool = False,
                  prune_dominated: bool = False,
                  memo: VerdictMemo | None = None):
         self.jobs = jobs
         self.max_states = max_states
-        self.fused = fused
         self.abstraction = abstraction
         self.reuse = reuse
         self.prune_dominated = prune_dominated
@@ -455,8 +444,7 @@ class PortfolioVerifier:
         if callback_errors:
             raise callback_errors[0]
         outcome = PortfolioOutcome(
-            results=list(results), jobs=resolved, fused=self.fused,
-            reuse=self.reuse,
+            results=list(results), jobs=resolved, reuse=self.reuse,
             wall_seconds=time.perf_counter() - started)
         outcome.tally_reuse()
         return outcome
@@ -529,8 +517,7 @@ class PortfolioVerifier:
                 if model.erased:
                     track = occupancy_targets(model)
             maxima, complete = self._explore_job(
-                job, framework, report, psm,
-                [job.deadline_ms, report.bounds.relaxed], track)
+                job, framework, report, psm, track)
             if complete and maxima:
                 result.occupancy = dict(maxima)
         except ExplorationLimit as exc:
@@ -555,9 +542,8 @@ class PortfolioVerifier:
         error row; the pool replaces the worker."""
         task = _WorkerJob(
             engine=EngineConfig.capture(abstraction=self.abstraction),
-            max_states=self.max_states, fused=self.fused,
-            reuse=self.reuse, index=index, job=job,
-            obligation=obligation)
+            max_states=self.max_states, reuse=self.reuse, index=index,
+            job=job, obligation=obligation)
         try:
             return pool.run(task)
         except Exception as exc:
@@ -619,92 +605,26 @@ class PortfolioVerifier:
         return out
 
     def _explore_job(self, job: PortfolioJob, framework, report,
-                     psm, deadlines: list[int],
-                     track: Sequence[str] = (),
+                     psm, track: Sequence[str] = (),
                      ) -> "tuple[Mapping[str, int] | None, bool]":
         """Steps 3 + 5/6 (+ optional sups): the exploration half.
 
-        With ``track`` names the deadline sweep additionally records
-        occupancy maxima — a read-only observation
+        The constraint pass, then :meth:`~repro.core.framework.
+        TimingVerificationFramework.psm_sweep` — the one PSM sweep
+        ``verify`` runs.  With ``track`` names that sweep also records
+        occupancy maxima, a read-only observation
         (:func:`~repro.mc.queries.check_many`'s ``track_maxima``), so
         verdicts, traces and tallies are untouched.  Returns
-        ``(maxima, complete)``; ``(None, False)`` when nothing was
-        tracked.
+        ``(maxima, complete)``; ``maxima`` is ``None`` when nothing
+        was tracked.
         """
         report.constraints = framework.check_constraints(
             psm, min_interarrival_ms=job.min_interarrival_ms,
             include_progress=job.include_progress)
-        outcome = None
-        if self.fused:
-            outcome = self._fused_psm_queries(job, framework, report,
-                                              psm, deadlines, track)
-        elif track:
-            # Same call verify_psm_deadlines makes, plus the watch
-            # list — bit-identical results.
-            from repro.mc.queries import (
-                BoundedResponseQuery,
-                check_many,
-            )
-
-            outcome = check_many(
-                psm.network,
-                [BoundedResponseQuery(job.input_channel,
-                                      job.output_channel, deadline)
-                 for deadline in deadlines],
-                max_states=framework.max_states,
-                abstraction=framework.abstraction, track_maxima=track)
-            report.psm_original_result = outcome[0]
-            report.psm_relaxed_result = outcome[1]
-            if job.measure_suprema:
-                report.symbolic = framework.measure_psm(
-                    psm, job.input_channel, job.output_channel)
-        else:
-            report.psm_original_result, report.psm_relaxed_result = \
-                framework.verify_psm_deadlines(
-                    psm, job.input_channel, job.output_channel,
-                    deadlines)
-            if job.measure_suprema:
-                report.symbolic = framework.measure_psm(
-                    psm, job.input_channel, job.output_channel)
-        if outcome is None:
-            return None, False
+        outcome = framework.psm_sweep(
+            report, psm, measure_suprema=job.measure_suprema,
+            track_maxima=track)
         return outcome.maxima, outcome.complete
-
-    def _fused_psm_queries(self, job: PortfolioJob, framework, report,
-                           psm, deadlines: list[int],
-                           track: Sequence[str] = ()):
-        """One ``check_many`` sweep for steps 5+6 (+ optional sups)."""
-        from repro.mc.queries import (
-            BoundedResponseQuery,
-            ResponseSupQuery,
-            check_many,
-        )
-
-        queries: list[object] = [
-            BoundedResponseQuery(job.input_channel, job.output_channel,
-                                 deadline)
-            for deadline in deadlines
-        ]
-        if job.measure_suprema:
-            queries += [
-                ResponseSupQuery(job.input_channel,
-                                 psm.io_name(job.input_channel)),
-                ResponseSupQuery(psm.io_name(job.output_channel),
-                                 job.output_channel),
-                ResponseSupQuery(job.input_channel, job.output_channel),
-            ]
-        outcome = check_many(
-            psm.network, queries, max_states=framework.max_states,
-            abstraction=framework.abstraction, track_maxima=track)
-        report.psm_original_result = outcome[0]
-        report.psm_relaxed_result = outcome[1]
-        if job.measure_suprema:
-            report.symbolic = {
-                "Input-Delay": outcome[2],
-                "Output-Delay": outcome[3],
-                "M-C delay": outcome[4],
-            }
-        return outcome
 
     def _memo_key(self, job: PortfolioJob, psm, model,
                   deadlines: list[int]) -> tuple:
@@ -752,7 +672,6 @@ class PortfolioVerifier:
             tuple(deadlines),
             job.min_interarrival_ms, detection,
             job.measure_suprema, job.include_progress,
-            self.fused,
             job.max_states or self.max_states,
             engine.backend, engine.abstraction,
             tuple(sorted(vid(flag) for flag in psm.miss_flags())),
@@ -1100,7 +1019,6 @@ class _WorkerJob:
 
     engine: EngineConfig
     max_states: int
-    fused: bool
     reuse: bool
     index: int
     job: PortfolioJob
@@ -1109,7 +1027,7 @@ class _WorkerJob:
     def __call__(self) -> PortfolioResult:
         self.engine.apply()
         verifier = PortfolioVerifier(
-            max_states=self.max_states, fused=self.fused,
+            max_states=self.max_states,
             abstraction=self.engine.abstraction, reuse=self.reuse)
         return verifier.run_job(self.job, index=self.index,
                                 obligation=self.obligation)

@@ -32,6 +32,7 @@ from repro.mc.reachability import (
 )
 from repro.mc.state import SymbolicState
 from repro.ta.model import Network
+from repro.zones.bounds import encode
 
 __all__ = [
     "BatchOutcome",
@@ -272,6 +273,28 @@ class _SupObserver:
             self.best = upper
 
 
+def _deadline_predicate(compiled, clock: str, flag: str, deadline: int):
+    """``flag == 1 && clock > deadline`` as a direct state test.
+
+    Equivalent to the compiled :class:`StateFormula` on canonical
+    non-empty zones: ``clock > deadline`` is satisfiable exactly when
+    the clock's upper bound exceeds ``(deadline, ≤)``.  Compiling keeps
+    the formula's side effects: the clock's lower LU floor and its
+    exemption from active-clock reduction.
+    """
+    clock_idx = compiled.clock_id_by_name(clock)
+    flag_pos = compiled.var_pos(flag)
+    compiled.raise_lu_floor(clock_idx, abs(deadline), upper=False)
+    compiled.protect_clocks([clock_idx])
+    bound = encode(deadline, True)
+
+    def predicate(state: SymbolicState) -> bool:
+        return (state.vals[flag_pos] == 1
+                and state.zone.upper_bound(clock_idx) > bound)
+
+    return predicate
+
+
 def check_many(
     network: Network,
     queries: Sequence[object],
@@ -301,15 +324,15 @@ def check_many(
     Per-query *verdicts and sup values* always match the individual
     ``check_reachable`` / ``check_safety`` /
     ``check_bounded_response`` / ``sup_clock`` /
-    ``max_response_delay`` calls.  Witness/counterexample strings and
-    traces match them too when the batch needs no instrumentation
-    beyond the individual run's — in particular, a single-query batch
-    *is* the individual run, tallies and traces included.  With
-    several (trigger, response) pairs in one batch, the shared sweep
-    runs on the jointly-instrumented network, so witness descriptions
-    and trace labels additionally mention the other pairs' observer
-    clocks/flags (``obs_w2 = 0, obs_tracking2 = 1`` …) — the same
-    underlying behavior, differently annotated.  The
+    ``max_response_delay`` calls; a single-query batch *is* the
+    individual run, tallies and traces included.  With several
+    (trigger, response) pairs in one batch the sweep runs on the
+    jointly-instrumented network, and each hit query's witness is
+    *projected* onto its own observer: its state description and
+    trace labels leave out the other pairs' observer clocks and flags
+    (their values, their zone atoms and their update actions), so the
+    first pair's witness reads exactly as in the individual run.
+    Reach and safety witnesses hide every observer.  The
     ``visited``/``transitions`` tallies are those of the shared sweep
     (one exploration instead of one per query).  A second sweep
     happens only when a sup query's value reached its extrapolation
@@ -350,6 +373,13 @@ def check_many(
             instrumented, trigger, response, clock=clock, flag=flag)
         pair_obs[(trigger, response)] = (clock, flag)
     free_map = {flag: clock for clock, flag in pair_obs.values()}
+
+    def hidden_for(query) -> frozenset[str]:
+        """The observer names a hit query's witness leaves out."""
+        own = (pair_obs[(query.trigger, query.response)]
+               if isinstance(query, BoundedResponseQuery) else ())
+        return frozenset(name for names in pair_obs.values()
+                         if names != own for name in names)
 
     # ---- extrapolation requirements (mutable for the ceiling loop) ----
     deadlines: dict[str, int] = {}
@@ -404,11 +434,9 @@ def check_many(
                     query.bad.compile(compiled), trace_on)
             elif isinstance(query, BoundedResponseQuery):
                 clock, flag = pair_obs[(query.trigger, query.response)]
-                formula = StateFormula(
-                    data=f"{flag} == 1",
-                    clocks=f"{clock} > {query.deadline}")
                 observers[index] = _HitObserver(
-                    formula.compile(compiled), trace_on)
+                    _deadline_predicate(compiled, clock, flag,
+                                        query.deadline), trace_on)
             elif isinstance(query, ResponseSupQuery):
                 clock, flag = pair_obs[(query.trigger, query.response)]
                 observers[index] = _SupObserver(
@@ -494,9 +522,10 @@ def check_many(
         if isinstance(query, (ReachQuery, SafetyQuery,
                               BoundedResponseQuery)):
             hit_state = observer.state
-            witness = (compiled.state_description(hit_state)
+            hidden = hidden_for(query)
+            witness = (compiled.state_description(hit_state, hidden)
                        if hit_state is not None else None)
-            hit_trace = (explorer.rebuild_trace(observer.node)
+            hit_trace = (explorer.rebuild_trace(observer.node, hidden)
                          if observer.node is not None else None)
             if isinstance(query, ReachQuery):
                 results.append(ReachabilityResult(

@@ -14,8 +14,8 @@ zone is a canonical DBM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Collection, Iterator, Mapping, Sequence
 
 from repro.ta.bounds import (
     AbstractionSpec,
@@ -84,8 +84,13 @@ class CompiledEdge:
     def has_clock_guard(self) -> bool:
         return bool(self.clock_ops)
 
-    def label(self) -> str:
-        return f"{self.auto_name}: {self.edge}"
+    def label(self, hidden: Collection[str] = ()) -> str:
+        """``automaton: edge``, without the update actions that write
+        one of the ``hidden`` variables/clocks."""
+        edge = self.edge
+        if hidden:
+            edge = replace(edge, update=edge.update.without(hidden))
+        return f"{self.auto_name}: {edge}"
 
 
 def _expr_to_env_python(expr: Expr) -> str:
@@ -139,8 +144,9 @@ class SymbolicState:
     re-hashed it.
 
     ``link`` is the trace link a tracing explorer records on every
-    stored successor: ``(parent_state, transition_label)``, ``None``
-    on the initial state and whenever tracing is off.
+    stored successor: ``(parent_state, plan)``, where ``plan.label`` is
+    the transition label; ``None`` on the initial state and whenever
+    tracing is off.
     """
 
     __slots__ = ("locs", "vals", "zone", "link", "_key", "_key_hash")
@@ -150,7 +156,7 @@ class SymbolicState:
         self.locs = locs
         self.vals = vals
         self.zone = zone
-        self.link: tuple[SymbolicState, str] | None = None
+        self.link: tuple[SymbolicState, object] | None = None
         self._key = None
         self._key_hash = None
 
@@ -558,14 +564,22 @@ class CompiledNetwork:
     def location_name(self, a_idx: int, loc_idx: int) -> str:
         return self.loc_names[a_idx][loc_idx]
 
-    def state_description(self, state: SymbolicState) -> str:
+    def state_description(self, state: SymbolicState,
+                          hidden: Collection[str] = ()) -> str:
+        """Locations, valuation and zone of ``state``, leaving out the
+        ``hidden`` variables and clocks (the zone is projected onto the
+        other clocks)."""
         locs = ", ".join(
             f"{auto.name}.{self.loc_names[i][state.locs[i]]}"
             for i, auto in enumerate(self.automata))
         vals = ", ".join(
             f"{name}={value}"
-            for name, value in zip(self.var_names, state.vals))
-        zone = state.zone.as_text(self.clock_names)
+            for name, value in zip(self.var_names, state.vals)
+            if name not in hidden)
+        zone = state.zone.as_text(
+            self.clock_names,
+            skip=[self._name_to_clock[name] for name in hidden
+                  if name in self._name_to_clock])
         parts = [f"({locs})"]
         if vals:
             parts.append(f"[{vals}]")

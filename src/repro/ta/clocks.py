@@ -14,7 +14,7 @@ assignments executed left to right, exactly like an UPPAAL edge label.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Collection, Mapping
 
 from repro.ta.expr import Const, Expr
 from repro.zones.bounds import encode
@@ -185,16 +185,12 @@ class Update:
     def is_empty(self) -> bool:
         return not self.actions
 
+    def without(self, names: Collection[str]) -> "Update":
+        """This update minus the actions that write one of ``names``."""
+        return Update(tuple(
+            a for a in self.actions
+            if (a.var if isinstance(a, Assignment) else a.clock)
+            not in names))
+
     def __str__(self) -> str:
         return ", ".join(str(a) for a in self.actions)
-
-
-def invariant_zone(
-    constraints: Sequence[ClockConstraint],
-    zone: DBM,
-    index: Mapping[str, int],
-) -> DBM:
-    """Intersect ``zone`` with a conjunction of invariant atoms."""
-    for constraint in constraints:
-        constraint.apply(zone, index)
-    return zone

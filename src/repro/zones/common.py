@@ -41,7 +41,7 @@ for bit.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from repro.zones.bounds import INF, bound_as_text, decode, encode
 
@@ -218,16 +218,24 @@ class ZoneMatrix:
         return hash((self.size, self.frozen()))
 
     # -- debug rendering -------------------------------------------------
-    def as_text(self, clock_names: Sequence[str] | None = None) -> str:
-        """Readable constraint list, e.g. ``x<=5 ∧ x-y<2``."""
+    def as_text(self, clock_names: Sequence[str] | None = None, *,
+                skip: Collection[int] = ()) -> str:
+        """Readable constraint list, e.g. ``x<=5 ∧ x-y<2``.
+
+        ``skip`` lists clock indices to leave out: the text is then
+        that of the zone projected onto the other clocks (a canonical
+        DBM's sub-matrix is its projection).
+        """
         names = list(clock_names) if clock_names else [
             "0" if i == 0 else f"x{i}" for i in range(self.size)
         ]
         parts: list[str] = []
         n = self.size
         for i in range(n):
+            if i in skip:
+                continue
             for j in range(n):
-                if i == j:
+                if i == j or j in skip:
                     continue
                 b = self.get(i, j)
                 if b == INF:

@@ -30,7 +30,6 @@ class TestParser:
                 * len(args.invocation_kinds))
         assert grid == 16
         assert args.deadline == 500
-        assert not args.fused
         # The default CLI grid is *the* benchmarked sweep — scheme
         # names must match the committed BENCH record's rows exactly.
         from repro.apps.schemes import case_study_scheme
@@ -50,12 +49,16 @@ class TestParser:
         args = build_parser().parse_args(
             ["portfolio", "--buffer-sizes", "1", "3",
              "--periods", "100", "--read-policies", "read-one",
-             "--invocation-kinds", "aperiodic", "--fused"])
+             "--invocation-kinds", "aperiodic"])
         assert args.buffer_sizes == [1, 3]
         assert args.periods == [100]
         assert args.read_policies == ["read-one"]
         assert args.invocation_kinds == ["aperiodic"]
-        assert args.fused
+
+    def test_portfolio_rejects_fused(self):
+        # One PSM sweep per scheme is the only mode; the knob is gone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["portfolio", "--fused"])
 
     def test_portfolio_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):

@@ -11,6 +11,9 @@
   case-study PSM are pinned to a digest of the output the seed
   implementation (``(key, zone snapshot)``-keyed parent links)
   produced, on reference and (when built) native.
+* **Verify-path witness.**  ``Session.verify`` answers steps 5+6 and
+  the suprema from one shared sweep over three observer pairs; the
+  projected REQ1 witness must still carry the same digest.
 * **Trace links.**  A stop on the initial state yields ``[]``, and a
   traced exploration never snapshots a zone (``frozen()``).
 
@@ -28,10 +31,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.api import Session
 from repro.apps.infusion import build_infusion_pim
 from repro.apps.schemes import case_study_scheme
 from repro.core.transform import transform
-from repro.mc.explorer import ZoneGraphExplorer
+from repro.mc.explorer import ZoneGraphExplorer, exploration_count
 from repro.mc.queries import BoundedResponseQuery, check_many
 from repro.ta.model import ModelError
 from repro.zones.backend import available_backends, resolve_backend
@@ -225,6 +229,24 @@ def test_req1_trace_identity_forced_scalar_step(case_study_network,
                                                 monkeypatch):
     monkeypatch.setattr(NativeDBM, "apply_plan", ZoneMatrix.apply_plan)
     assert _digest(_req1(case_study_network, "native")) == REQ1_DIGEST
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_verify_witness(backend):
+    before = exploration_count()
+    report = Session(backend=backend).verify(
+        build_infusion_pim(), case_study_scheme(),
+        input_channel="m_BolusReq", output_channel="c_StartInfusion",
+        deadline_ms=500, measure_suprema=True)
+    # PIM check + internal sup + constraints + one PSM sweep.
+    assert exploration_count() - before == 4
+    result = report.psm_original_result
+    assert not result.holds and report.psm_relaxed_result.holds
+    assert result.visited == 17415
+    assert len(result.trace) == REQ1_TRACE_LEN
+    assert _digest(result) == REQ1_DIGEST
+    assert {name: bound.sup for name, bound in report.symbolic.items()} \
+        == {"Input-Delay": 480, "Output-Delay": 440, "M-C delay": 1420}
 
 
 @pytest.fixture(scope="module")

@@ -10,11 +10,21 @@ call.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from repro.apps.infusion import build_infusion_pim
+from repro.apps.schemes import case_study_scheme
 from repro.core.transform import transform
-from repro.mc.explorer import exploration_count
-from repro.mc.observers import check_bounded_response, max_response_delay
+from repro.mc.explorer import ZoneGraphExplorer, exploration_count
+from repro.mc.observers import (
+    OBS_CLOCK,
+    OBS_FLAG,
+    check_bounded_response,
+    instrument_response,
+    max_response_delay,
+)
 from repro.mc.queries import (
     BoundedResponseQuery,
     ClockSupQuery,
@@ -22,12 +32,14 @@ from repro.mc.queries import (
     ResponseSupQuery,
     SafetyQuery,
     StatsQuery,
+    _deadline_predicate,
     check_many,
     sup_clock,
     zone_graph_stats,
 )
 from repro.mc.reachability import StateFormula, check_reachable, check_safety
 from repro.ta.builder import NetworkBuilder
+from repro.zones.backend import available_backends
 
 from tests.conftest import build_tiny_pim, build_tiny_scheme
 
@@ -209,6 +221,88 @@ class TestMultiPairInstrumentation:
         assert outcome.results[1].holds == tight.holds
         assert outcome.explorations == 1
         assert exploration_count() - before == 1
+
+
+    def test_witnesses_projected_onto_own_observer(self):
+        """Each hit query's witness mentions its own observer only
+        (reach witnesses none); the first pair's reads exactly as the
+        standalone check's."""
+        psm = transform(build_tiny_pim(), build_tiny_scheme())
+        io_in, io_out = psm.io_name("m_Req"), psm.io_name("c_Ack")
+        outcome = check_many(psm.network, [
+            BoundedResponseQuery("m_Req", "c_Ack", 3),
+            BoundedResponseQuery("m_Req", io_in, 0),
+            BoundedResponseQuery(io_out, "c_Ack", 0),
+            ReachQuery(StateFormula(data="cnt_i_Req == 1")),
+        ])
+        owners = [{"obs_w", "obs_tracking"},
+                  {"obs_w2", "obs_tracking2"},
+                  {"obs_w3", "obs_tracking3"},
+                  set()]
+        for result, own in zip(outcome, owners):
+            witness = getattr(result, "counterexample", None) \
+                or result.witness
+            assert witness and result.trace
+            mentioned = set(re.findall(r"\bobs_(?:w|tracking)\d*\b",
+                                       "\n".join([witness,
+                                                  *result.trace])))
+            assert mentioned == own
+        alone = check_bounded_response(psm.network, "m_Req", "c_Ack", 3)
+        assert (outcome[0].counterexample, outcome[0].trace) == \
+            (alone.counterexample, alone.trace)
+
+
+@pytest.mark.parametrize("abstraction", ("extra_m", "extra_lu"))
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("model", ("tiny", "case_study"))
+def test_deadline_predicate_lockstep(model, backend, abstraction):
+    """The planner's direct deadline test agrees with the compiled
+    ``obs_tracking == 1 && obs_w > Δ`` formula on every stored state,
+    and compiling it has the formula's side effects."""
+    if model == "tiny":
+        pim, scheme = build_tiny_pim(), build_tiny_scheme()
+        pair, deadlines = ("m_Req", "c_Ack"), (3, 20)
+    else:
+        pim, scheme = build_infusion_pim(), case_study_scheme()
+        pair, deadlines = ("m_BolusReq", "c_StartInfusion"), (500, 1430)
+    network = instrument_response(transform(pim, scheme).network, *pair)
+
+    def explorer():
+        return ZoneGraphExplorer(
+            network, extra_max_constants={OBS_CLOCK: max(deadlines) + 1},
+            free_clock_when_zero={OBS_FLAG: OBS_CLOCK},
+            zone_backend=backend, abstraction=abstraction)
+
+    def formula(deadline):
+        return StateFormula(data=f"{OBS_FLAG} == 1",
+                            clocks=f"{OBS_CLOCK} > {deadline}")
+
+    old, new = explorer().compiled, explorer().compiled
+    for deadline in deadlines:
+        formula(deadline).compile(old)
+        _deadline_predicate(new, OBS_CLOCK, OBS_FLAG, deadline)
+    assert old.inactive_clocks == new.inactive_clocks
+    assert old.lu_lower_floors == new.lu_lower_floors
+    assert old.lu_upper_floors == new.lu_upper_floors
+
+    sweep = explorer()
+    predicates = [(formula(d).compile(sweep.compiled),
+                   _deadline_predicate(sweep.compiled, OBS_CLOCK, OBS_FLAG,
+                                       d))
+                  for d in deadlines]
+    hits = [0] * len(deadlines)
+    mismatches = []
+
+    def visit(state):
+        for slot, (compiled_formula, direct) in enumerate(predicates):
+            want = compiled_formula(state)
+            if direct(state) != want:
+                mismatches.append(state)
+            hits[slot] += want
+
+    sweep.explore(visit=visit)
+    assert not mismatches
+    assert hits[0] > 0 and hits[-1] == 0
 
 
 def test_unknown_query_type_rejected(tiny_network):

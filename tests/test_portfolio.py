@@ -9,8 +9,9 @@ sequentially, across both zone backends and every worker count
 pool).  On top of the matrix: deterministic job-ordered commit,
 per-job ``max_states`` budgets, per-job fault isolation (including a
 worker process that dies outright), shared PIM obligations (computed
-once in the parent and shipped to the workers), the fused
-single-sweep mode, and the verdict memo's parent-side lookup.
+once in the parent and shipped to the workers), one PSM sweep per
+job (steps 5+6 and the suprema together, same verdicts and sups as
+two separate sweeps), and the verdict memo's parent-side lookup.
 """
 
 from __future__ import annotations
@@ -230,29 +231,40 @@ def test_shared_pim_obligations_computed_once():
                for row in pooled)
 
 
-def test_fused_mode_same_verdicts_one_sweep(backend):
+def split_sweep_rows(schemes):
+    """Steps 5+6 and the suprema as two separate PSM sweeps."""
+    pim = build_tiny_pim()
+    framework = TimingVerificationFramework()
+    rows = []
+    for scheme in schemes:
+        psm = framework.transform(pim, scheme)
+        bounds = framework.derive_bounds(pim, scheme, **CHANNELS)
+        original, relaxed = framework.verify_psm_deadlines(
+            psm, *CHANNELS.values(), [DEADLINE, bounds.relaxed])
+        rows.append((bounds, original.holds, relaxed.holds,
+                     framework.measure_psm(psm, *CHANNELS.values())))
+    return rows
+
+
+def sup_values(sups):
+    return {k: (v.bounded, v.sup, v.attained) for k, v in sups.items()}
+
+
+def test_one_psm_sweep_per_job(backend):
     from repro.mc.explorer import exploration_count
 
     schemes = grid_3x2()
-    default = run_portfolio(schemes, jobs=1)
     before = exploration_count()
-    fused = run_portfolio(schemes, jobs=1, fused=True)
-    fused_explorations = exploration_count() - before
-    for a, b in zip(default, fused):
-        assert a.report.bounds == b.report.bounds
-        assert a.original_holds == b.original_holds
-        assert a.relaxed_holds == b.relaxed_holds
-        # Sup *values* are sweep-independent; tallies are not.
-        assert {k: (v.bounded, v.sup, v.attained)
-                for k, v in a.sups.items()} == \
-            {k: (v.bounded, v.sup, v.attained)
-             for k, v in b.sups.items()}
-    # Per job: 1 shared PIM pair (first job only) + constraints +
-    # the fused deadline/sup sweep — strictly fewer sweeps than the
-    # default's separate deadline and suprema explorations.
-    default_explorations = 2 + 6 * 3
-    assert fused_explorations == 2 + 6 * 2
-    assert fused_explorations < default_explorations
+    outcome = run_portfolio(schemes, jobs=1)
+    # 1 shared PIM pair (first job only), then per job the constraint
+    # pass and one PSM sweep answering both deadlines and the sups.
+    assert exploration_count() - before == 2 + 6 * 2
+    for row, (bounds, original, relaxed, sups) in zip(
+            outcome, split_sweep_rows(schemes)):
+        assert row.report.bounds == bounds
+        assert (row.original_holds, row.relaxed_holds) == \
+            (original, relaxed)
+        assert sup_values(row.sups) == sup_values(sups)
 
 
 def test_verify_portfolio_framework_step():
@@ -464,18 +476,15 @@ def test_process_obligations_computed_once_in_parent():
         assert a.states == b.states
 
 
-def test_process_fused_mode_same_verdicts():
+def test_process_rows_match_split_sweeps():
     schemes = grid_3x2()
-    default = run_portfolio(schemes, jobs=2)
-    fused = run_portfolio(schemes, jobs=2, fused=True)
-    for a, b in zip(default, fused):
-        assert a.report.bounds == b.report.bounds
-        assert a.original_holds == b.original_holds
-        assert a.relaxed_holds == b.relaxed_holds
-        assert {k: (v.bounded, v.sup, v.attained)
-                for k, v in a.sups.items()} == \
-            {k: (v.bounded, v.sup, v.attained)
-             for k, v in b.sups.items()}
+    outcome = run_portfolio(schemes, jobs=2)
+    for row, (bounds, original, relaxed, sups) in zip(
+            outcome, split_sweep_rows(schemes)):
+        assert row.report.bounds == bounds
+        assert (row.original_holds, row.relaxed_holds) == \
+            (original, relaxed)
+        assert sup_values(row.sups) == sup_values(sups)
 
 
 def test_engine_config_capture_and_pickle_roundtrip():

@@ -265,7 +265,7 @@ def _job_payload():
                        deadline_ms=DEADLINE, **CHANNELS)
     obligation = _compute_obligation(job, TimingVerificationFramework())
     return _WorkerJob(engine=EngineConfig.capture(),
-                      max_states=2_000_000, fused=False, reuse=True,
+                      max_states=2_000_000, reuse=True,
                       index=0, job=job, obligation=obligation)
 
 
