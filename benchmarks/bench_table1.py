@@ -10,9 +10,9 @@ Regenerates both halves of Table I and asserts the paper's shape:
 * REQ1 is violated in the large majority of measured trials
   (the paper reports 53 of 60).
 
-The full pipeline (PIM check, transformation, constraint pass, bound
-derivation, two PSM checks, 60 simulated trials) runs once under the
-benchmark timer.
+The full pipeline (PIM check, transformation, bound derivation, one
+PSM sweep deciding the constraints and both deadlines, 60 simulated
+trials) runs once under the benchmark timer.
 """
 
 import pathlib

@@ -26,11 +26,17 @@ PSM would satisfy every safety property vacuously.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core.delays import detection_bound
 from repro.core.psm import PSM
 from repro.mc.deadlock import find_deadlocks
-from repro.mc.reachability import StateFormula, check_reachable
+from repro.mc.queries import ReachQuery, check_many
+from repro.mc.reachability import (
+    ReachabilityResult,
+    StateFormula,
+    check_reachable,
+)
 
 __all__ = [
     "ConstraintResult",
@@ -41,6 +47,8 @@ __all__ = [
     "check_constraint4",
     "check_progress",
     "check_all_constraints",
+    "constraint_queries",
+    "constraint_report",
 ]
 
 
@@ -61,80 +69,88 @@ class ConstraintResult:
         return f"{self.constraint}: {status} — {self.detail}"
 
 
-def _flags_reachable(psm: PSM, flags: list[str], what: str, *,
-                     max_states: int,
-                     abstraction: str | None = None) -> ConstraintResult:
-    """Shared machinery: is any of the given flags settable?"""
-    flags = [f for f in flags if f]
+#: Detail of a constraint whose mechanism the scheme does not use.
+_NO_FLAGS = "no applicable flags (mechanism not used)"
+
+
+def _constraint_groups(psm: PSM) -> dict[str, list[str]]:
+    """Constraints 1–4, each with the flags that violate it."""
+    groups = {
+        "Constraint 1 (detection of all input signals)":
+            psm.miss_flags(),
+        "Constraint 2 (no input-buffer overflow)":
+            [v.overflow for v in psm.input_vars.values()],
+        "Constraint 3 (no output-buffer overflow)":
+            [v.overflow for v in psm.output_vars.values()],
+        "Constraint 4 (no internal-transition interference)":
+            [psm.code_drop_flag],
+    }
+    return {name: [f for f in flags if f]
+            for name, flags in groups.items()}
+
+
+def _flags_reachable(psm: PSM, number: int, *,
+                     max_states: int) -> ConstraintResult:
+    """Constraint ``number`` alone: is any of its flags settable?"""
+    what, flags = list(_constraint_groups(psm).items())[number - 1]
     if not flags:
-        return ConstraintResult(
-            constraint=what, holds=True,
-            detail="no applicable flags (mechanism not used)")
+        return ConstraintResult(what, True, _NO_FLAGS)
     condition = " || ".join(f"{flag} == 1" for flag in flags)
     reach = check_reachable(psm.network, StateFormula(data=condition),
-                            max_states=max_states,
-                            abstraction=abstraction)
+                            max_states=max_states)
     if reach.reachable:
         return ConstraintResult(
-            constraint=what, holds=False,
-            detail=f"reachable: {condition} (witness: {reach.witness})",
-            counterexample=reach.trace)
+            what, False,
+            f"reachable: {condition} (witness: {reach.witness})",
+            reach.trace)
     return ConstraintResult(
-        constraint=what, holds=True,
-        detail=f"A[] !({condition}) verified "
-               f"({reach.visited} states)")
+        what, True, f"A[] !({condition}) verified ({reach.visited} states)")
+
+
+def _interarrival(psm: PSM, result: ConstraintResult,
+                  min_interarrival_ms: int | None) -> ConstraintResult:
+    """Constraint 1's analytic half on top of its flag ``result``: every
+    device's worst case beats the minimum inter-arrival time."""
+    if not result.holds or min_interarrival_ms is None:
+        return result
+    slow = [channel for channel in psm.pim.input_channels()
+            if detection_bound(psm.scheme, channel) >= min_interarrival_ms]
+    if not slow:
+        return result
+    return ConstraintResult(
+        result.constraint, False,
+        f"device(s) {slow} slower than the minimum inter-arrival "
+        f"time {min_interarrival_ms}ms")
 
 
 def check_constraint1(psm: PSM, *,
                       min_interarrival_ms: int | None = None,
                       max_states: int = 1_000_000) -> ConstraintResult:
     """Constraint 1: every environmental input signal is detected."""
-    result = _flags_reachable(
-        psm, psm.miss_flags(),
-        "Constraint 1 (detection of all input signals)",
-        max_states=max_states)
-    if not result.holds or min_interarrival_ms is None:
-        return result
-    # Analytic half: processing faster than the inter-arrival time.
-    slow = []
-    for channel in psm.pim.input_channels():
-        if detection_bound(psm.scheme, channel) >= min_interarrival_ms:
-            slow.append(channel)
-    if slow:
-        return ConstraintResult(
-            constraint=result.constraint, holds=False,
-            detail=f"device(s) {slow} slower than the minimum "
-                   f"inter-arrival time {min_interarrival_ms}ms")
-    return ConstraintResult(
-        constraint=result.constraint, holds=True,
-        detail=result.detail + "; processing beats inter-arrival time")
+    result = _interarrival(
+        psm, _flags_reachable(psm, 1, max_states=max_states),
+        min_interarrival_ms)
+    if result.holds and min_interarrival_ms is not None:
+        result.detail += "; processing beats inter-arrival time"
+    return result
 
 
 def check_constraint2(psm: PSM, *,
                       max_states: int = 1_000_000) -> ConstraintResult:
     """Constraint 2: the input buffers never overflow."""
-    flags = [vars_.overflow for vars_ in psm.input_vars.values()]
-    return _flags_reachable(
-        psm, flags, "Constraint 2 (no input-buffer overflow)",
-        max_states=max_states)
+    return _flags_reachable(psm, 2, max_states=max_states)
 
 
 def check_constraint3(psm: PSM, *,
                       max_states: int = 1_000_000) -> ConstraintResult:
     """Constraint 3: the output buffers never overflow."""
-    flags = [vars_.overflow for vars_ in psm.output_vars.values()]
-    return _flags_reachable(
-        psm, flags, "Constraint 3 (no output-buffer overflow)",
-        max_states=max_states)
+    return _flags_reachable(psm, 3, max_states=max_states)
 
 
 def check_constraint4(psm: PSM, *,
                       max_states: int = 1_000_000) -> ConstraintResult:
     """Constraint 4: the code never drops a pending input."""
-    return _flags_reachable(
-        psm, [psm.code_drop_flag],
-        "Constraint 4 (no internal-transition interference)",
-        max_states=max_states)
+    return _flags_reachable(psm, 4, max_states=max_states)
 
 
 def check_progress(psm: PSM, *,
@@ -170,101 +186,59 @@ class ConstraintReport:
         return "\n".join(lines + [verdict])
 
 
-def check_all_constraints(psm: PSM, *,
-                          min_interarrival_ms: int | None = None,
-                          include_progress: bool = False,
-                          single_pass: bool = True,
-                          max_states: int = 1_000_000,
-                          abstraction: str | None = None,
-                          ) -> ConstraintReport:
-    """Run Constraints 1–4 (plus the optional progress sanity check).
+def constraint_queries(psm: PSM) -> list[ReachQuery]:
+    """One ``E<> flag == 1`` query per constraint flag (the flags are
+    monotone, so "ever set" is reachability), in constraint order —
+    the batch :func:`constraint_report` reads back."""
+    return [ReachQuery(StateFormula(data=f"{flag} == 1"))
+            for flags in _constraint_groups(psm).values()
+            for flag in flags]
 
-    With ``single_pass`` (the default) one full exploration evaluates
-    all four flag sets at once — the flags are monotone, so "ever set
-    in a reachable state" is exactly reachability.  Set it to False to
-    get per-constraint counterexample traces instead.
-    """
+
+def constraint_report(psm: PSM, results: Sequence[ReachabilityResult],
+                      visited: int, *,
+                      min_interarrival_ms: int | None = None,
+                      ) -> ConstraintReport:
+    """Constraints 1–4 from the answers to :func:`constraint_queries`
+    (in order) and the state count ``visited`` of their sweep.  A
+    violated constraint carries its first hit flag's witness and
+    trace."""
+    answers = iter(results)
     report = ConstraintReport()
-    if include_progress:
-        report.results.append(check_progress(psm, max_states=max_states))
-    if not single_pass:
-        report.results.append(check_constraint1(
-            psm, min_interarrival_ms=min_interarrival_ms,
-            max_states=max_states))
-        report.results.append(check_constraint2(psm,
-                                                max_states=max_states))
-        report.results.append(check_constraint3(psm,
-                                                max_states=max_states))
-        report.results.append(check_constraint4(psm,
-                                                max_states=max_states))
-        return report
-    report.results.extend(_single_pass_constraints(
-        psm, min_interarrival_ms=min_interarrival_ms,
-        max_states=max_states, abstraction=abstraction))
+    for constraint, flags in _constraint_groups(psm).items():
+        hits = [(flag, answer) for flag, answer
+                in zip(flags, [next(answers) for _ in flags])
+                if answer.reachable]
+        if not flags:
+            result = ConstraintResult(constraint, True, _NO_FLAGS)
+        elif hits:
+            result = ConstraintResult(
+                constraint, False,
+                f"flag(s) {[flag for flag, _ in hits]} reachable "
+                f"(e.g. {hits[0][1].witness})", hits[0][1].trace)
+        else:
+            result = ConstraintResult(
+                constraint, True,
+                f"flags {flags} unreachable ({visited} states)")
+        report.results.append(result)
+    report.results[0] = _interarrival(psm, report.results[0],
+                                      min_interarrival_ms)
     return report
 
 
-def _single_pass_constraints(psm: PSM, *,
-                             min_interarrival_ms: int | None,
-                             max_states: int,
-                             abstraction: str | None = None,
-                             ) -> list[ConstraintResult]:
-    """One exploration deciding Constraints 1–4 together."""
-    from repro.mc.explorer import ZoneGraphExplorer
-
-    groups: dict[str, list[str]] = {
-        "Constraint 1 (detection of all input signals)":
-            psm.miss_flags(),
-        "Constraint 2 (no input-buffer overflow)":
-            [v.overflow for v in psm.input_vars.values()],
-        "Constraint 3 (no output-buffer overflow)":
-            [v.overflow for v in psm.output_vars.values()],
-        "Constraint 4 (no internal-transition interference)":
-            [psm.code_drop_flag],
-    }
-    explorer = ZoneGraphExplorer(psm.network, max_states=max_states,
-                                 abstraction=abstraction)
-    compiled = explorer.compiled
-    positions = {
-        flag: compiled.var_pos(flag)
-        for flags in groups.values() for flag in flags if flag
-    }
-    witnesses: dict[str, str] = {}
-
-    def visit(state) -> None:
-        for flag, pos in positions.items():
-            if flag not in witnesses and state.vals[pos] == 1:
-                witnesses[flag] = compiled.state_description(state)
-
-    result = explorer.explore(visit=visit)
-
-    out: list[ConstraintResult] = []
-    for constraint, flags in groups.items():
-        flags = [f for f in flags if f]
-        if not flags:
-            out.append(ConstraintResult(
-                constraint=constraint, holds=True,
-                detail="no applicable flags (mechanism not used)"))
-            continue
-        hit = [f for f in flags if f in witnesses]
-        if hit:
-            out.append(ConstraintResult(
-                constraint=constraint, holds=False,
-                detail=f"flag(s) {hit} reachable "
-                       f"(e.g. {witnesses[hit[0]]})"))
-        else:
-            out.append(ConstraintResult(
-                constraint=constraint, holds=True,
-                detail=f"flags {flags} unreachable "
-                       f"({result.visited} states)"))
-    # Constraint 1's analytic half.
-    if min_interarrival_ms is not None and out[0].holds:
-        slow = [ch for ch in psm.pim.input_channels()
-                if detection_bound(psm.scheme, ch)
-                >= min_interarrival_ms]
-        if slow:
-            out[0] = ConstraintResult(
-                constraint=out[0].constraint, holds=False,
-                detail=f"device(s) {slow} slower than the minimum "
-                       f"inter-arrival time {min_interarrival_ms}ms")
-    return out
+def check_all_constraints(psm: PSM, *,
+                          min_interarrival_ms: int | None = None,
+                          include_progress: bool = False,
+                          max_states: int = 1_000_000,
+                          abstraction: str | None = None,
+                          ) -> ConstraintReport:
+    """Run Constraints 1–4 (plus the optional progress sanity check),
+    all flags from one :func:`constraint_queries` sweep."""
+    outcome = check_many(psm.network, constraint_queries(psm),
+                         max_states=max_states, abstraction=abstraction)
+    report = constraint_report(psm, outcome, outcome.visited,
+                               min_interarrival_ms=min_interarrival_ms)
+    if include_progress:
+        report.results.insert(0, check_progress(psm,
+                                                max_states=max_states))
+    return report

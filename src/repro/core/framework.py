@@ -13,11 +13,11 @@ way Section VI does:
 6. also check whether the *original* deadline survives on the PSM
    (in the case study it does not: ``PSM ⊭ P(500)``).
 
-Steps 5 and 6 — and, on request, the three Lemma-1 delay suprema —
-are answered by **one** shared exploration of the PSM
-(:meth:`TimingVerificationFramework.psm_sweep`); each deadline's
-counterexample is projected onto its own observer, so it reads exactly
-as a standalone ``P(Δ)`` check's.
+Steps 3, 5 and 6 — and, on request, the three Lemma-1 delay
+suprema — are answered by **one** shared exploration of the PSM
+(:meth:`TimingVerificationFramework.psm_sweep`); each witness is
+projected onto its own observer, so a deadline's counterexample reads
+exactly as a standalone ``P(Δ)`` check's.
 
 The resulting :class:`VerificationReport` carries every verified
 number Table I's upper row needs.
@@ -34,7 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.constraints import ConstraintReport, check_all_constraints
+from repro.core.constraints import (
+    ConstraintReport,
+    check_all_constraints,
+    check_progress,
+    constraint_queries,
+    constraint_report,
+)
 from repro.core.delays import (
     DelayBounds,
     bounds_from_internal,
@@ -189,29 +195,21 @@ class TimingVerificationFramework:
         return bounds_from_internal(scheme, input_channel,
                                     output_channel, internal)
 
-    def verify_psm(self, psm: PSM, input_channel: str,
-                   output_channel: str,
-                   deadline_ms: int) -> BoundedResponseResult:
-        """Steps 5/6: ``PSM ⊨ P(Δ)`` for any deadline."""
-        return check_bounded_response(
-            psm.network, input_channel, output_channel, deadline_ms,
-            max_states=self.max_states,
-            abstraction=self.abstraction)
-
     def verify_psm_deadlines(self, psm: PSM, input_channel: str,
                              output_channel: str,
                              deadlines_ms: Sequence[int], *,
                              measure_suprema: bool = False,
+                             with_constraints: bool = False,
                              track_maxima: Sequence = (),
                              ) -> BatchOutcome:
         """Steps 5+6: every deadline from one shared sweep.
 
         With ``measure_suprema`` the same sweep also measures the
-        three :data:`SUPREMA`.  Results come in query order: one
-        :class:`BoundedResponseResult` per deadline, then the three
-        :class:`DelayBound` values.  The deadline queries come first,
-        so the (m, c) pair owns the unsuffixed observer names its
-        counterexample mentions.  ``track_maxima`` is
+        three :data:`SUPREMA`, and with ``with_constraints`` it answers
+        step 3's :func:`~repro.core.constraints.constraint_queries`.
+        Results come in that query order.  The deadline queries come
+        first, so the (m, c) pair owns the unsuffixed observer names
+        its counterexample mentions.  ``track_maxima`` is
         :func:`~repro.mc.queries.check_many`'s read-only watch list.
         """
         queries: list[object] = [
@@ -224,6 +222,8 @@ class TimingVerificationFramework:
                 ResponseSupQuery(psm.io_name(output_channel),
                                  output_channel),
                 ResponseSupQuery(input_channel, output_channel)]
+        if with_constraints:
+            queries += constraint_queries(psm)
         return check_many(psm.network, queries,
                           max_states=self.max_states,
                           abstraction=self.abstraction,
@@ -243,21 +243,31 @@ class TimingVerificationFramework:
         return dict(zip(SUPREMA, outcome))
 
     def psm_sweep(self, report: VerificationReport, psm: PSM, *,
+                  min_interarrival_ms: int | None = None,
                   measure_suprema: bool = False,
+                  include_progress: bool = False,
                   track_maxima: Sequence = ()) -> BatchOutcome:
-        """Steps 5+6 (+ the suprema) into ``report``, one PSM sweep.
+        """Steps 3 + 5+6 (+ the suprema) into ``report``, one PSM sweep.
 
         The one exploration :meth:`verify` and every portfolio job run
-        on the PSM after the constraint pass; ``report`` must already
-        carry its bounds (step 4).
+        on the PSM (the opt-in ``include_progress`` deadlock check
+        adds another); ``report`` must already carry its bounds.
         """
         outcome = self.verify_psm_deadlines(
             psm, report.input_channel, report.output_channel,
             [report.deadline_ms, report.bounds.relaxed],
-            measure_suprema=measure_suprema, track_maxima=track_maxima)
+            measure_suprema=measure_suprema, with_constraints=True,
+            track_maxima=track_maxima)
         report.psm_original_result, report.psm_relaxed_result = \
             outcome[:2]
-        report.symbolic = dict(zip(SUPREMA, outcome[2:]))
+        sups = outcome[2:2 + len(SUPREMA)] if measure_suprema else ()
+        report.symbolic = dict(zip(SUPREMA, sups))
+        report.constraints = constraint_report(
+            psm, outcome[2 + len(sups):], outcome.visited,
+            min_interarrival_ms=min_interarrival_ms)
+        if include_progress:
+            report.constraints.results.insert(0, check_progress(
+                psm, max_states=self.max_states))
         return outcome
 
     # ------------------------------------------------------------------
@@ -275,12 +285,12 @@ class TimingVerificationFramework:
             pim, input_channel, output_channel, deadline_ms)
         psm = self.transform(pim, scheme)
         report.psm = psm
-        report.constraints = self.check_constraints(
-            psm, min_interarrival_ms=min_interarrival_ms,
-            include_progress=include_progress)
         report.bounds = self.derive_bounds(
             pim, scheme, input_channel, output_channel)
-        self.psm_sweep(report, psm, measure_suprema=measure_suprema)
+        self.psm_sweep(report, psm,
+                       min_interarrival_ms=min_interarrival_ms,
+                       measure_suprema=measure_suprema,
+                       include_progress=include_progress)
         return report
 
     # ------------------------------------------------------------------

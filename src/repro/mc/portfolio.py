@@ -34,12 +34,12 @@ along one path:
 
 Bit-identity contract: each job runs *exactly* the sweeps of
 :meth:`repro.core.framework.TimingVerificationFramework.verify` — the
-same constraint pass, then the same single PSM sweep
+same single PSM sweep
 (:meth:`~repro.core.framework.TimingVerificationFramework.psm_sweep`)
-answering steps 5+6 and, on request, the suprema — so every bound,
-verdict, witness, sup and per-sweep states/transitions tally equals
-the sequential per-scheme run, for every worker count and backend
-(``tests/test_portfolio.py`` pins the matrix).
+answering steps 3, 5 and 6 and, on request, the suprema — so every
+bound, verdict, witness, sup and per-sweep states/transitions tally
+equals the sequential per-scheme run, for every worker count and
+backend (``tests/test_portfolio.py`` pins the matrix).
 
 ``prune_dominated=True`` derives dominated grid points' Theorem-1
 verdicts from a verified neighbor along the Lemma-1-monotone axes
@@ -609,21 +609,19 @@ class PortfolioVerifier:
                      ) -> "tuple[Mapping[str, int] | None, bool]":
         """Steps 3 + 5/6 (+ optional sups): the exploration half.
 
-        The constraint pass, then :meth:`~repro.core.framework.
-        TimingVerificationFramework.psm_sweep` — the one PSM sweep
-        ``verify`` runs.  With ``track`` names that sweep also records
-        occupancy maxima, a read-only observation
+        :meth:`~repro.core.framework.TimingVerificationFramework.
+        psm_sweep` — the one PSM sweep ``verify`` runs.  With
+        ``track`` names that sweep also records occupancy maxima, a
+        read-only observation
         (:func:`~repro.mc.queries.check_many`'s ``track_maxima``), so
         verdicts, traces and tallies are untouched.  Returns
         ``(maxima, complete)``; ``maxima`` is ``None`` when nothing
         was tracked.
         """
-        report.constraints = framework.check_constraints(
-            psm, min_interarrival_ms=job.min_interarrival_ms,
-            include_progress=job.include_progress)
         outcome = framework.psm_sweep(
-            report, psm, measure_suprema=job.measure_suprema,
-            track_maxima=track)
+            report, psm, min_interarrival_ms=job.min_interarrival_ms,
+            measure_suprema=job.measure_suprema,
+            include_progress=job.include_progress, track_maxima=track)
         return outcome.maxima, outcome.complete
 
     def _memo_key(self, job: PortfolioJob, psm, model,

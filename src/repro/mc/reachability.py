@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 
 from repro.mc.explorer import ExplorationResult, ZoneGraphExplorer
 from repro.mc.state import CompiledNetwork, SymbolicState, encode_constraint
-from repro.ta.expr import Expr
+from repro.ta.expr import Binary, Const, Expr, Var
 from repro.ta.model import Network
 from repro.ta.parser import parse_expression, parse_guard
 
@@ -53,6 +53,10 @@ class StateFormula:
         if self.data is not None:
             data_expr = (parse_expression(self.data)
                          if isinstance(self.data, str) else self.data)
+            if not loc_tests and self.clocks is None:
+                direct = _direct_vals_test(data_expr, compiled)
+                if direct is not None:
+                    return direct
 
         clock_ops: list[tuple[int, int, int]] = []
         if self.clocks is not None:
@@ -118,6 +122,32 @@ class StateFormula:
         if self.clocks is not None:
             parts.append(self.clocks)
         return " && ".join(parts) if parts else "true"
+
+
+def _direct_vals_test(expr: Expr, compiled: CompiledNetwork):
+    """``var == k`` or a ``||`` of such atoms as a direct test on
+    ``state.vals`` (no ``data_env``, no ``Expr.eval``); ``None`` for
+    any other expression."""
+
+    def atoms(node: Expr) -> list[tuple[int, int]] | None:
+        if isinstance(node, Binary) and node.op == "||":
+            left, right = atoms(node.left), atoms(node.right)
+            return None if left is None or right is None else left + right
+        if (isinstance(node, Binary) and node.op == "=="
+                and isinstance(node.left, Var)
+                and isinstance(node.right, Const)
+                and node.left.name in compiled.var_names):
+            return [(compiled.var_pos(node.left.name), node.right.value)]
+        return None
+
+    tests = atoms(expr)
+    if tests is None:
+        return None
+    if len(tests) == 1:
+        (pos, value), = tests
+        return lambda state: state.vals[pos] == value
+    return lambda state: any(state.vals[pos] == value
+                             for pos, value in tests)
 
 
 @dataclass

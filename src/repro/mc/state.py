@@ -561,9 +561,6 @@ class CompiledNetwork:
             self._env_cache[key] = env
         return env
 
-    def location_name(self, a_idx: int, loc_idx: int) -> str:
-        return self.loc_names[a_idx][loc_idx]
-
     def state_description(self, state: SymbolicState,
                           hidden: Collection[str] = ()) -> str:
         """Locations, valuation and zone of ``state``, leaving out the

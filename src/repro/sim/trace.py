@@ -83,9 +83,6 @@ class TraceRecorder:
         """Call ``listener(event)`` for every future record."""
         self._listeners.append(listener)
 
-    def remove_listener(self, listener) -> None:
-        self._listeners.remove(listener)
-
     def record(self, time_us: int, kind: str, channel: str,
                tag: int | None = None, note: str = "") -> None:
         if kind not in EVENT_KINDS:

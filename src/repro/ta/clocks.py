@@ -169,10 +169,6 @@ class Update:
 
     actions: tuple[ClockReset | ClockCopy | Assignment, ...] = ()
 
-    def clock_actions(self) -> list[ClockReset | ClockCopy]:
-        return [a for a in self.actions
-                if isinstance(a, (ClockReset, ClockCopy))]
-
     def assignments(self) -> list[Assignment]:
         return [a for a in self.actions if isinstance(a, Assignment)]
 

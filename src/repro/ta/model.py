@@ -257,10 +257,6 @@ class Network:
         return (1 + len(self.global_clocks)
                 + sum(len(a.clocks) for a in self.automata))
 
-    def clocks_visible_to(self, automaton: Automaton) -> tuple[str, ...]:
-        """Clock names the given automaton may reference."""
-        return self.global_clocks + automaton.clocks
-
     def add_automata(self, extra: Iterable[Automaton],
                      extra_channels: Iterable[Channel] = (),
                      extra_variables: Iterable[VariableDecl] = (),

@@ -16,10 +16,11 @@ native through identical random op sequences and require equal
 snapshots, emptiness verdicts and hashes at every step.
 
 This module raises :class:`ImportError` when either numpy or the
-compiled extension is missing, or when the extension was built from
-an older ``_dbmkernel.c`` than :data:`KERNEL_VERSION` (a stale in-place
-``.so``); :mod:`repro.zones.backend` catches that and simply leaves
-``native`` out of :func:`available_backends`, so a checkout without a
+compiled extension is missing, or when the extension was built from a
+different ``_dbmkernel.c`` than :data:`KERNEL_VERSION` (a stale or
+foreign in-place ``.so``, older or newer); :mod:`repro.zones.backend`
+catches that and simply leaves ``native`` out of
+:func:`available_backends`, so a checkout without a
 compiler (or a wheel without the prebuilt artifact) falls back to the
 pure-python reference backend gracefully.
 
@@ -47,11 +48,11 @@ __all__ = ["NativeDBM", "NativeBatchExpander"]
 KERNEL_VERSION: int = 2
 
 _built = getattr(_k, "KERNEL_VERSION", 0)
-if _built < KERNEL_VERSION:
+if _built != KERNEL_VERSION:
     raise ImportError(
-        f"repro.zones._dbmkernel is a stale build (API version "
-        f"{_built}, need {KERNEL_VERSION}); rebuild it with "
-        f"`python setup.py build_ext --inplace`")
+        f"repro.zones._dbmkernel was built from a different "
+        f"_dbmkernel.c (API version {_built}, need {KERNEL_VERSION}); "
+        f"rebuild it with `python setup.py build_ext --inplace --force`")
 
 #: Largest matrix the compiled kernels accept (stack-scratch bound).
 MAX_CLOCKS: int = _k.MAX_CLOCKS

@@ -238,8 +238,8 @@ def test_verify_witness(backend):
         build_infusion_pim(), case_study_scheme(),
         input_channel="m_BolusReq", output_channel="c_StartInfusion",
         deadline_ms=500, measure_suprema=True)
-    # PIM check + internal sup + constraints + one PSM sweep.
-    assert exploration_count() - before == 4
+    # PIM check + internal sup + one PSM sweep (constraints included).
+    assert exploration_count() - before == 3
     result = report.psm_original_result
     assert not result.holds and report.psm_relaxed_result.holds
     assert result.visited == 17415

@@ -16,6 +16,7 @@ import pytest
 
 from repro.apps.infusion import build_infusion_pim
 from repro.apps.schemes import case_study_scheme
+from repro.core.constraints import constraint_queries
 from repro.core.transform import transform
 from repro.mc.explorer import ZoneGraphExplorer, exploration_count
 from repro.mc.observers import (
@@ -37,7 +38,13 @@ from repro.mc.queries import (
     sup_clock,
     zone_graph_stats,
 )
-from repro.mc.reachability import StateFormula, check_reachable, check_safety
+from repro.mc.reachability import (
+    StateFormula,
+    _direct_vals_test,
+    check_reachable,
+    check_safety,
+)
+from repro.ta.parser import parse_expression
 from repro.ta.builder import NetworkBuilder
 from repro.zones.backend import available_backends
 
@@ -303,6 +310,49 @@ def test_deadline_predicate_lockstep(model, backend, abstraction):
     sweep.explore(visit=visit)
     assert not mismatches
     assert hits[0] > 0 and hits[-1] == 0
+
+
+@pytest.mark.parametrize("abstraction", ("extra_m", "extra_lu"))
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("model", ("tiny", "case_study"))
+def test_direct_vals_test_lockstep(model, backend, abstraction):
+    """Data-only ``var == k`` formulas, alone or joined by ``||``,
+    compile to a direct ``state.vals`` test that agrees with the
+    generic ``data_env``/``Expr.eval`` predicate on every stored
+    state."""
+    if model == "tiny":
+        psm = transform(build_tiny_pim(), build_tiny_scheme())
+    else:
+        psm = transform(build_infusion_pim(), case_study_scheme())
+    flags = [query.formula.data for query in constraint_queries(psm)]
+    occupied = next(iter(psm.input_vars.values())).count + " == 1"
+    texts = [flags[-1], " || ".join(flags), f"{psm.mio_loc_var} == 0",
+             " || ".join([*flags, occupied])]
+    sweep = ZoneGraphExplorer(psm.network, zone_backend=backend,
+                              abstraction=abstraction)
+    compiled = sweep.compiled
+    predicates = []
+    for text in texts:
+        expr = parse_expression(text)
+        assert _direct_vals_test(expr, compiled) is not None
+        predicates.append((StateFormula(data=text).compile(compiled),
+                           expr))
+    hits = [0] * len(texts)
+    mismatches = []
+
+    def visit(state):
+        env = compiled.data_env(state.vals)
+        for slot, (direct, expr) in enumerate(predicates):
+            want = bool(expr.eval(env))
+            if direct(state) != want:
+                mismatches.append((texts[slot], state))
+            hits[slot] += want
+
+    result = sweep.explore(visit=visit)
+    assert not mismatches
+    # The var == k atoms and the mixed disjunction hold somewhere and
+    # fail somewhere.
+    assert all(0 < hit < result.visited for hit in hits[2:])
 
 
 def test_unknown_query_type_rejected(tiny_network):

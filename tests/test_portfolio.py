@@ -10,8 +10,8 @@ pool).  On top of the matrix: deterministic job-ordered commit,
 per-job ``max_states`` budgets, per-job fault isolation (including a
 worker process that dies outright), shared PIM obligations (computed
 once in the parent and shipped to the workers), one PSM sweep per
-job (steps 5+6 and the suprema together, same verdicts and sups as
-two separate sweeps), and the verdict memo's parent-side lookup.
+job (steps 3, 5+6 and the suprema together, same verdicts and sups
+as separate sweeps), and the verdict memo's parent-side lookup.
 """
 
 from __future__ import annotations
@@ -256,9 +256,9 @@ def test_one_psm_sweep_per_job(backend):
     schemes = grid_3x2()
     before = exploration_count()
     outcome = run_portfolio(schemes, jobs=1)
-    # 1 shared PIM pair (first job only), then per job the constraint
-    # pass and one PSM sweep answering both deadlines and the sups.
-    assert exploration_count() - before == 2 + 6 * 2
+    # 1 shared PIM pair (first job only), then per job one PSM sweep
+    # answering the constraints, both deadlines and the sups.
+    assert exploration_count() - before == 2 + 6 * 1
     for row, (bounds, original, relaxed, sups) in zip(
             outcome, split_sweep_rows(schemes)):
         assert row.report.bounds == bounds

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import importlib
 import random
+import re
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -291,16 +293,25 @@ class TestScanValidation:
 
 # -- stale in-place builds -------------------------------------------------
 
-def test_stale_kernel_build_is_refused(monkeypatch):
-    """An extension older than the wrapper drops ``native`` through the
-    ImportError fallback."""
+#: The kernel API version ``_dbmkernel.c`` declares.
+SOURCE_VERSION = int(re.search(
+    r"#define KERNEL_VERSION (\d+)",
+    (Path(repro.zones.__file__).parent / "_dbmkernel.c").read_text(),
+).group(1))
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_stale_kernel_build_is_refused(monkeypatch, offset):
+    """An extension built from an older or a newer ``_dbmkernel.c``
+    than the wrapper drops ``native`` through the ImportError
+    fallback."""
     stale = types.ModuleType("repro.zones._dbmkernel")
-    stale.KERNEL_VERSION = 1
+    stale.KERNEL_VERSION = SOURCE_VERSION + offset
     monkeypatch.setitem(sys.modules, "repro.zones._dbmkernel", stale)
     monkeypatch.setattr(repro.zones, "_dbmkernel", stale, raising=False)
     monkeypatch.delitem(sys.modules, "repro.zones.dbm_native",
                         raising=False)
-    with pytest.raises(ImportError, match="stale build"):
+    with pytest.raises(ImportError, match="different _dbmkernel.c"):
         importlib.import_module("repro.zones.dbm_native")
     monkeypatch.setattr(backend, "_native_backend", None)
     assert available_backends() == ("reference",)
